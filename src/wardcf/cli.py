@@ -15,7 +15,7 @@ import sys
 from typing import Callable
 
 from . import contfrac, eulerian, hankel, matchings, paths, trees, ward
-from .poly import Polynomial, VarId, parse_poly
+from .poly import T_VAR, Polynomial, VarId, parse_poly
 
 DEFAULT_MAX_N = 6
 
@@ -46,8 +46,16 @@ def _parse_bindings(pairs: list[str]) -> dict[VarId, Polynomial]:
         if "=" not in item:
             raise ValueError(f"--set needs var=value, got {item!r}")
         name, value = item.split("=", 1)
-        out[_parse_var(name.strip())] = parse_poly(value.strip())
+        v = _parse_var(name.strip())
+        if v is T_VAR:
+            raise ValueError(f"--set cannot bind {v}, the series variable")
+        out[v] = parse_poly(value.strip())
     return out
+
+
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
 # -- triangle -------------------------------------------------------------------
@@ -303,6 +311,7 @@ def _suite_euler_identity(n: int) -> SuiteResult:
 
 
 def _suite_closed_form(n: int) -> SuiteResult:
+    _require_positive("--n", n)
     if not ward.check_closed_form_u_eq_x(n):
         return False, f"u=x closed form fails at order {n}"
     return True, f"u=x closed form and its series verified to order {n}"
@@ -383,6 +392,7 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    _require_positive("--order", args.order)
     bindings = _parse_bindings(args.set or [])
     sequence = [p.substitute(bindings) for p in ward.generalized_ward_cf(args.order)]
     values = ward.invert_sequence(sequence, args.order)

@@ -375,11 +375,6 @@ class Polynomial:
                 out[rest] = out.get(rest, 0) + c
         return Polynomial(out)
 
-    def degree_in(self, v: VarId) -> int:
-        if not self.terms:
-            return -1
-        return max(m.exponent(v) for m in self.terms)
-
     # -- algebra helpers -----------------------------------------------------
 
     def substitute(self, bindings: Mapping[VarId, "Polynomial | Rat"]) -> "Polynomial":
@@ -516,10 +511,6 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self})"
 
-    @classmethod
-    def parse(cls, text: str) -> "Polynomial":
-        return parse_poly(text)
-
 
 def _coeff_str(c: Rat) -> str:
     if isinstance(c, Fraction) and c.denominator != 1:
@@ -532,7 +523,6 @@ def var(name: str, *indices: int) -> Polynomial:
     return Polynomial.variable(VarId(name, *indices))
 
 
-_TERM_SPLIT = re.compile(r"(?<!\[)[+-]")
 _FACTOR = re.compile(
     r"^(?P<name>[A-Za-z][A-Za-z0-9']*)"
     r"(?:\[(?P<idx>\d+(?:,\d+)?)\])?"
@@ -575,6 +565,8 @@ def parse_poly(text: str) -> Polynomial:
             if _NUMBER.match(factor):
                 if "/" in factor:
                     num, den = factor.split("/")
+                    if int(den) == 0:
+                        raise ValueError(f"zero denominator in {text!r}")
                     coeff = coeff * Fraction(int(num), int(den))
                 else:
                     coeff = coeff * int(factor)
@@ -699,11 +691,6 @@ class Series:
     def map_coeffs(self, f: Callable[[Polynomial], Polynomial]) -> "Series":
         return Series(self.order, [f(c) for c in self.coeffs])
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(order, self.coeffs[: order + 1])
-
     def reciprocal(self) -> "Series":
         """Inverse modulo t**(order+1); requires constant term 1."""
         if self.coeffs[0] != Polynomial.one():
@@ -736,20 +723,28 @@ class Series:
     def compositional_inverse(self) -> "Series":
         """The series r with self(r(t)) = t mod t**(order+1).
 
-        Requires zero constant term and t-coefficient 1.  Solved degree by
-        degree with undetermined coefficients.
+        Requires zero constant term and, from order 1 on, t-coefficient 1.
+        By Lagrange inversion (Stanley, EC2 §5.4), writing self = t*g(t),
+
+            [t^k] r = (1/k) [t^(k-1)] (1/g(t))^k,
+
+        so one reciprocal and order-1 series products give every
+        coefficient.  At order 0 the result is 0, at order 1 it is t.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("inverse needs zero constant term")
+        n = self.order
+        if n == 0:
+            return Series.zero(0)
         if self.coeffs[1] != Polynomial.one():
             raise ValueError("inverse needs t-coefficient 1")
-        inv = [Polynomial.zero()] * (self.order + 1)
-        if self.order >= 1:
-            inv[1] = Polynomial.one()
-        for n in range(2, self.order + 1):
-            partial = Series(self.order, inv)
-            inv[n] = -self.compose(partial).coeffs[n]
-        return Series(self.order, inv)
+        h = Series(n - 1, self.coeffs[1:]).reciprocal()
+        inv = [Polynomial.zero(), Polynomial.one()]
+        power = h
+        for k in range(2, n + 1):
+            power = power * h
+            inv.append(power.coeffs[k - 1] * Fraction(1, k))
+        return Series(n, inv)
 
     def __str__(self):
         parts = []

@@ -12,8 +12,9 @@ T-fraction with alpha_i = x + (i-1)u and delta_i = z + (i-1)w.
 Series inversion: any sequence (a_n) with a_0 = 1 is matched by choosing
 x_1, x_2, ... so that the tree-counting polynomials in those variables
 reproduce it; concretely the exponential generating function
-sum a_n t^(n+1)/(n+1)! is compositionally inverted and the x_i are read
-off the inverse.
+sum a_n t^(n+1)/(n+1)! is compositionally inverted by Lagrange inversion
+and the x_i are read off the inverse.  Series.compose, a separate
+computation, checks the u = x inverse by composing it back to t.
 """
 
 from __future__ import annotations
@@ -158,38 +159,42 @@ def check_cor_B4(order: int) -> bool:
     return h == rhs
 
 
+def _egf(c: Sequence[Polynomial]) -> Series:
+    """sum_n c_n t^(n+1)/(n+1)! over n = 0..len(c)-1, as a series of order len(c)."""
+    return Series(
+        len(c),
+        [Polynomial.zero()]
+        + [p * Fraction(1, factorial(n + 1)) for n, p in enumerate(c)],
+    )
+
+
+def _invert_egf(c: Sequence[Polynomial]) -> list[Polynomial]:
+    """(n+1)! [t^(n+1)] of the compositional inverse of _egf(c), n = 0..len(c)-1."""
+    inv = _egf(c).compositional_inverse()
+    return [inv.coefficient(n + 1) * factorial(n + 1) for n in range(len(c))]
+
+
 def invert_sequence(a: Sequence[Polynomial | int], order: int) -> list[Polynomial]:
     """Solve for x_1..x_order so the tree polynomials in the x_i equal a_n.
 
-    Builds the exponential generating function sum a_n t^(n+1)/(n+1)!,
-    inverts it compositionally, and reads x_m off the coefficient of
-    t^(m+1) in the inverse (scaled by -(m+1)!).  Requires a_0 = 1 and
-    len(a) > order.
+    The inverse of F(t) = sum a_n t^(n+1)/(n+1)! is
+    R(t) = t - sum_m x_m t^(m+1)/(m+1)!, so x_m is -(m+1)! times the
+    coefficient of t^(m+1) in R, which Series.compositional_inverse gets by
+    Lagrange inversion.  Requires a_0 = 1 and len(a) > order.
     """
+    if order < 0:
+        raise ValueError(f"inversion order must be nonnegative, got {order}")
     coerced = [Polynomial._coerce(p) for p in a]
     if not coerced or coerced[0] != Polynomial.one():
         raise ValueError("inversion needs a_0 = 1")
     if len(coerced) <= order:
         raise ValueError(f"need a_0..a_{order}")
-    egf = [Polynomial.zero()] + [
-        coerced[n] * Fraction(1, factorial(n + 1)) for n in range(order + 1)
-    ]
-    inv = Series(order + 1, egf).compositional_inverse()
-    return [
-        inv.coefficient(m + 1) * (-factorial(m + 1)) for m in range(1, order + 1)
-    ]
+    return [-c for c in _invert_egf(coerced[: order + 1])[1:]]
 
 
 def multivariate_ward_via_inversion(order: int) -> list[Polynomial]:
     """The tree polynomials themselves, from the generic series inverse."""
-    xs = [var("x", i) for i in range(1, order + 1)]
-    egf = [Polynomial.zero(), Polynomial.one()] + [
-        -xs[n - 1] * Fraction(1, factorial(n + 1)) for n in range(1, order + 1)
-    ]
-    inv = Series(order + 1, egf).compositional_inverse()
-    return [
-        inv.coefficient(n + 1) * factorial(n + 1) for n in range(order + 1)
-    ]
+    return _invert_egf([Polynomial.one()] + [-var("x", n) for n in range(1, order + 1)])
 
 
 def invert_generalized_ward(order: int) -> list[Polynomial]:
@@ -216,8 +221,10 @@ def closed_form_u_eq_x(m: int) -> Polynomial:
 def check_closed_form_u_eq_x(order: int) -> bool:
     """Verify the u = x closed form and its explicit inverse-EGF series.
 
-    Three facts are checked to the given order:
-      1. inversion of W_n(x,x,z,w) reproduces closed_form_u_eq_x;
+    Three facts are checked to the given order (at least 1):
+      1. inversion of W_n(x,x,z,w) composes back to t, which
+         Series.compose checks independently of the Lagrange inverse, and
+         reproduces closed_form_u_eq_x;
       2. the explicit series
              (1 + x/w)/z * log(1+zt) - (x/w^2) ((1+zt)^(w/z) - 1),
          expanded with the exponent handled as a formal symbol s = w/z,
@@ -227,6 +234,9 @@ def check_closed_form_u_eq_x(order: int) -> bool:
     x = var("x")
     ps = [p.substitute({U: x}) for p in generalized_ward_cf(order)]
     computed = invert_sequence(ps, order)
+    round_trip = _egf(ps).compose(_egf([Polynomial.one()] + [-c for c in computed]))
+    if round_trip != Series.t(order + 1):
+        return False
     closed = [closed_form_u_eq_x(m) for m in range(1, order + 1)]
     if computed != closed:
         return False

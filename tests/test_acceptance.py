@@ -317,6 +317,15 @@ def test_criterion_10_series_inversion(capsys):
         report("criterion 10", "inversion coefficients, sign law n <= 5, four-variable values")
 
 
+def test_inversion_runtime_ceiling(capsys):
+    start = time.time()
+    invert_generalized_ward(8)
+    elapsed = time.time() - start
+    assert elapsed < 3.0
+    with capsys.disabled():
+        report("inversion ceiling", f"four-variable inversion to order 8 in {elapsed:.2f}s")
+
+
 def test_criterion_11_hankel_positivity(capsys):
     start = time.time()
     for name, seq in [

@@ -144,6 +144,60 @@ def test_invert_with_set(capsys):
     assert all(line.endswith("= x") for line in out.strip().splitlines())
 
 
+def test_invert_golden_order_3(capsys):
+    code, out = invoke(capsys, "invert", "--order", "3")
+    assert code == 0
+    assert out == (
+        "x1 = x + z\n"
+        "x2 = u*x + w*x - x^2 - 3*x*z - 2*z^2\n"
+        "x3 = 3*u^2*x + 4*u*w*x - 3*u*x^2 - 5*u*x*z + w^2*x - 4*w*x^2"
+        " - 6*w*x*z + 5*x^2*z + 11*x*z^2 + 6*z^3\n"
+    )
+
+
+def usage_error(capsys, *argv):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("wardcf: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("invert", "--order", "3", "--set", "z=1/0"),
+    ("expand", "--family", "ward", "--order", "2", "--set", "x=1/0"),
+])
+def test_zero_denominator_is_usage_error(capsys, argv):
+    assert "zero denominator" in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("invert", "--order", "0"), "--order"),
+    (("invert", "--order", "-2"), "--order"),
+    (("verify", "--suite", "closed-form-ux", "--n", "0"), "--n"),
+    (("verify", "--suite", "closed-form-ux", "--n", "-1"), "--n"),
+])
+def test_inversion_size_below_1_is_usage_error(capsys, argv, flag):
+    assert flag in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--family", "ward", "--order", "2", "--set", "t=1"),
+    ("invert", "--order", "2", "--set", "t=x"),
+])
+def test_set_rejects_series_variable(capsys, argv):
+    assert "series variable" in usage_error(capsys, *argv)
+
+
+def test_inversion_size_1_is_accepted(capsys):
+    code, out = invoke(capsys, "invert", "--order", "1")
+    assert (code, out) == (0, "x1 = x + z\n")
+    code, out = invoke(capsys, "verify", "--suite", "closed-form-ux", "--n", "1")
+    assert code == 0 and out.startswith("PASS")
+
+
 def test_deterministic_output(capsys):
     first = invoke(capsys, "expand", "--family", "master-T", "--order", "3")
     second = invoke(capsys, "expand", "--family", "master-T", "--order", "3")

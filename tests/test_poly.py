@@ -233,6 +233,58 @@ def test_compositional_inverse_roundtrip(p, q):
     assert inv.compose(s) == Series.t(4)
 
 
+def ladder_inverse(s):
+    """Reference inverse: solve degree by degree, one composition per degree."""
+    inv = [Polynomial.zero()] * (s.order + 1)
+    if s.order >= 1:
+        inv[1] = Polynomial.one()
+    for n in range(2, s.order + 1):
+        inv[n] = -s.compose(Series(s.order, inv)).coeffs[n]
+    return Series(s.order, inv)
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def invertible_series(draw, coeffs):
+    order = draw(st.integers(0, 6))
+    tail = [draw(coeffs) for _ in range(order - 1)]
+    return Series(order, ([0, 1] + tail)[: order + 1])
+
+
+@given(st.one_of(
+    invertible_series(small_fractions),
+    invertible_series(polynomials(max_terms=2, max_exp=1)),
+))
+@settings(max_examples=60, deadline=None)
+def test_compositional_inverse_matches_ladder(s):
+    assert s.compositional_inverse() == ladder_inverse(s)
+
+
+def test_compositional_inverse_low_orders():
+    assert Series(0, [0]).compositional_inverse() == Series.zero(0)
+    assert Series(1, [0, 1]).compositional_inverse() == Series.t(1)
+
+
+def test_compositional_inverse_errors():
+    with pytest.raises(ValueError, match="^inverse needs zero constant term$"):
+        Series(3, [1, 1, 0, 0]).compositional_inverse()
+    with pytest.raises(ValueError, match="^inverse needs zero constant term$"):
+        Series(0, [x]).compositional_inverse()
+    with pytest.raises(ValueError, match="^inverse needs t-coefficient 1$"):
+        Series(3, [0, 2, 0, 0]).compositional_inverse()
+    with pytest.raises(ValueError, match="^inverse needs t-coefficient 1$"):
+        Series(1, [0, x]).compositional_inverse()
+
+
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_poly("3/0*x")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_poly("x + 1/0")
+
+
 def test_coefficient_access():
     g = geometric(5)
     assert g.coefficient(5) == Polynomial.one()

@@ -174,6 +174,9 @@ def test_invert_sequence_preconditions():
         invert_sequence([var("a", 0)], 0)
     with pytest.raises(ValueError):
         invert_sequence([Polynomial.one()], 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        invert_sequence([Polynomial.one()] * 3, -2)
+    assert invert_sequence([Polynomial.one()], 0) == []
 
 
 def test_invert_generalized_ward_first_three():
