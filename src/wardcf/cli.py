@@ -25,9 +25,11 @@ def _max_n() -> int:
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise SystemExit(f"wardcf: bad WARDCF_MAX_N value {raw!r}")
+        raise ValueError(f"bad WARDCF_MAX_N value {raw!r}, need an integer") from None
+    _require_at_least("WARDCF_MAX_N", cap, 0)
+    return cap
 
 
 def _parse_var(text: str) -> VarId:
@@ -49,13 +51,16 @@ def _parse_bindings(pairs: list[str]) -> dict[VarId, Polynomial]:
         v = _parse_var(name.strip())
         if v is T_VAR:
             raise ValueError(f"--set cannot bind {v}, the series variable")
-        out[v] = parse_poly(value.strip())
+        p = parse_poly(value.strip())
+        if p.contains_var(T_VAR):
+            raise ValueError(f"--set {item!r}: the value contains {T_VAR}, the series variable")
+        out[v] = p
     return out
 
 
-def _require_positive(flag: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{flag} must be at least 1, got {value}")
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
 # -- triangle -------------------------------------------------------------------
@@ -75,6 +80,7 @@ def _triangle_rows(family: str, rows: int) -> list[list[int]]:
 
 
 def _cmd_triangle(args) -> int:
+    _require_at_least("--rows", args.rows, 0)
     tri = _triangle_rows(args.family, args.rows)
     if args.format == "csv":
         print("n,k,value")
@@ -94,6 +100,7 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    _require_at_least("--order", args.order, 0)
     seq = contfrac.named_family(args.family)
     series = contfrac.expand_T(seq, args.order)
     bindings = _parse_bindings(args.set or [])
@@ -311,7 +318,7 @@ def _suite_euler_identity(n: int) -> SuiteResult:
 
 
 def _suite_closed_form(n: int) -> SuiteResult:
-    _require_positive("--n", n)
+    _require_at_least("--n", n, 1)
     if not ward.check_closed_form_u_eq_x(n):
         return False, f"u=x closed form fails at order {n}"
     return True, f"u=x closed form and its series verified to order {n}"
@@ -336,6 +343,7 @@ SUITES: dict[str, tuple[Callable[[int], SuiteResult], bool]] = {
 
 
 def _cmd_verify(args) -> int:
+    _require_at_least("--n", args.n, 0)
     cap = _max_n()
     name = args.suite
     if name == "ward-euler":
@@ -392,7 +400,7 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    _require_positive("--order", args.order)
+    _require_at_least("--order", args.order, 1)
     bindings = _parse_bindings(args.set or [])
     sequence = [p.substitute(bindings) for p in ward.generalized_ward_cf(args.order)]
     values = ward.invert_sequence(sequence, args.order)

@@ -6,9 +6,11 @@ A T-fraction with coefficient sequences alpha (1-indexed) and delta
     1 / (1 - delta_1 t - alpha_1 t / (1 - delta_2 t - alpha_2 t / (1 - ...)))
 
 S-fractions are the delta = 0 case; J-fractions carry gamma (0-indexed)
-level weights and beta (1-indexed) weights on t^2.  Expansion is bottom-up
-with finite depth: every level contributes at least one power of t, so
-depth order+1 determines the series exactly modulo t^(order+1).
+level weights and beta (1-indexed) weights on t^2.  All three are expanded
+by one bottom-up ladder of series reciprocals with finite depth (T: level
+delta_{k+1}, fall alpha on t; J: level gamma_k, fall beta on t^2; S: a T
+case): every level contributes at least one power of t, so depth order+1
+determines the series exactly modulo t^(order+1).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .matchings import IndexedWeights, star
 from .poly import Polynomial, Series, var
 
 CoeffFn = Callable[[int], Polynomial]
@@ -37,26 +40,38 @@ class TCoeffs:
     delta: CoeffFn  # i >= 1
 
 
+def _ladder(
+    level: CoeffFn, fall: CoeffFn, power: int, order: int, depth: int | None
+) -> Series:
+    """The bottom-up reciprocal ladder shared by T-, S- and J-fractions.
+
+    f_k = 1 / (1 - level(k) t - fall(k+1) t^power f_{k+1}) for k from
+    depth-1 down to 0, starting from f_depth = 1; the result is f_0.  f_k
+    only influences coefficients of t^k and above, so it is computed at the
+    reduced order max(order - k, 0).
+    """
+    levels = order + 1 if depth is None else depth
+    f = Series.one(max(order - levels, 0))
+    for k in range(levels - 1, -1, -1):
+        target = max(order - k, 0)
+        # f has order max(target - 1, 0), so t^power * f covers 0..target.
+        tail = Series(target, ((Polynomial.zero(),) * power + f.coeffs)[: target + 1])
+        body = (
+            Series.one(target)
+            - Series.t(target).scale(level(k))
+            - tail.scale(fall(k + 1))
+        )
+        f = body.reciprocal()
+    return f
+
+
 def expand_T(seq: TCoeffs, order: int, depth: int | None = None) -> Series:
     """Expand a T-fraction to a Series of the given truncation order.
 
     depth overrides the number of levels (default order+1); any depth
-    >= order+1 yields the same truncated series.  Level i only influences
-    coefficients of t^i and above, so it is computed at the reduced order
-    max(order - i, 0).
+    >= order+1 yields the same truncated series.
     """
-    levels = order + 1 if depth is None else depth
-    f = Series.one(max(order - levels, 0))
-    for i in range(levels, 0, -1):
-        target = max(order - (i - 1), 0)
-        one = Series.one(target)
-        body = (
-            one
-            - Series.t(target).scale(seq.delta(i))
-            - f.shift_to(target).scale(seq.alpha(i))
-        )
-        f = body.reciprocal()
-    return f
+    return _ladder(lambda k: seq.delta(k + 1), seq.alpha, 1, order, depth)
 
 
 def expand_S(alpha: CoeffFn, order: int, depth: int | None = None) -> Series:
@@ -64,18 +79,9 @@ def expand_S(alpha: CoeffFn, order: int, depth: int | None = None) -> Series:
 
 
 def expand_J(gamma: CoeffFn, beta: CoeffFn, order: int, depth: int | None = None) -> Series:
-    levels = order + 1 if depth is None else depth
-    f = Series.one(max(order - levels, 0))
-    for k in range(levels - 1, -1, -1):
-        target = max(order - k, 0)
-        one = Series.one(target)
-        body = (
-            one
-            - Series.t(target).scale(gamma(k))
-            - f.shift_to(max(target - 1, 0)).shift_to(target).scale(beta(k + 1))
-        )
-        f = body.reciprocal()
-    return f
+    """Expand a J-fraction 1 / (1 - gamma_0 t - beta_1 t^2 / (1 - gamma_1 t - ...));
+    depth works as in expand_T."""
+    return _ladder(gamma, beta, 2, order, depth)
 
 
 def contract_T_to_J(seq: TCoeffs) -> JCoeffs:
@@ -155,19 +161,11 @@ def _master_T() -> TCoeffs:
     # Fully symbolic coefficients of the master T-fraction for decorated
     # matchings: alpha_n = a[n-1] * bstar_{n-1}, delta_n = fstar_{n-2} + gstar_{n-1},
     # where wstar_m = sum_{l=0}^m w[l, m-l].
-    def star(name: str, m: int) -> Polynomial:
-        total = Polynomial.zero()
-        for l in range(m + 1):
-            total = total + var(name, l, m - l)
-        return total
-
-    def alpha(n: int) -> Polynomial:
-        return var("a", n - 1) * star("b", n - 1)
-
-    def delta(n: int) -> Polynomial:
-        return star("f", n - 2) + star("g", n - 1)
-
-    return TCoeffs(alpha, delta)
+    w = IndexedWeights.symbolic()
+    return TCoeffs(
+        lambda n: w.a(n - 1) * star(w.b, n - 1),
+        lambda n: star(w.f, n - 2) + star(w.g, n - 1),
+    )
 
 
 FAMILIES: dict[str, Callable[[], TCoeffs]] = {

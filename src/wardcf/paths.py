@@ -5,13 +5,18 @@ Schroeder paths use unit rises ("R"), unit falls ("F"), and width-2 long
 level steps of two colors ("W" and "D").  The step starting at abscissa
 i-1 is s_i; when s_i is a long level step, s_{i+1} and the height h_i are
 undefined.  Motzkin and Dyck paths are plain tuples over "R"/"F"/"L".
+All three kinds are enumerated by one depth-first walker over a table of
+steps (kind, height change, width), tried in the order R < F < L for
+Motzkin, R < F for Dyck and R < F < W < D for Schroeder paths.
 
 The bijection sends a decorated matching of [2n] to a path of length 2n:
 pure openers become rises, pure closers falls, wiggly pairs color-1 long
 levels, dashed pairs color-2 long levels.  Labels record which open arch
 each closing vertex attaches to, counted among the arches started but
 unfinished so far in increasing order of opener; a dashed pair closing its
-own arch gets the out-of-range label h+1.
+own arch gets the out-of-range label h+1.  The labels a step can carry at
+height h are 1 for a rise, 1..h for a fall or a color-1 level and 1..h+1
+for a color-2 level.
 
 T-fractions also admit an older interpretation as Dyck paths whose falls
 are weighted differently at peaks; this module implements only the
@@ -122,34 +127,23 @@ class LabeledSchroederPath:
         return f"LabeledSchroederPath({format_path(self)!r})"
 
 
-@dataclass(frozen=True)
-class LabelBounds:
-    """Height-indexed ceilings for labels, by step kind."""
-
-    rise: Callable[[int], int]
-    fall: Callable[[int], int]
-    level1: Callable[[int], int]
-    level2: Callable[[int], int]
-
-
-# Bounds realized by the matching bijection: rises are forced, falls and
-# color-1 levels choose an open arch, color-2 levels may also close their own.
-KZ_BOUNDS = LabelBounds(
-    rise=lambda k: 1,
-    fall=lambda k: k,
-    level1=lambda k: k,
-    level2=lambda k: k + 1,
-)
+# Label ceilings at height h realized by the matching bijection: rises are
+# forced, falls and color-1 levels choose an open arch, color-2 levels may
+# also close their own.
+_CEILING: dict[str, Callable[[int], int]] = {
+    RISE: lambda h: 1,
+    FALL: lambda h: h,
+    LL1: lambda h: h,
+    LL2: lambda h: h + 1,
+}
 
 
-def satisfies_bounds(lp: LabeledSchroederPath, bounds: LabelBounds = KZ_BOUNDS) -> bool:
+def satisfies_bounds(lp: LabeledSchroederPath) -> bool:
     path = lp.path
-    ceiling = {RISE: bounds.rise, FALL: bounds.fall, LL1: bounds.level1, LL2: bounds.level2}
     for i, (s, xi) in enumerate(zip(path.steps, lp.labels)):
         if s is None:
             continue
-        h = path.heights[i]
-        if not 1 <= xi <= ceiling[s](h):
+        if not 1 <= xi <= _CEILING[s](path.heights[i]):
             return False
     return True
 
@@ -176,40 +170,42 @@ def parse_path(text: str) -> LabeledSchroederPath:
 # -- enumeration -----------------------------------------------------------------
 
 
-def enumerate_motzkin(length: int) -> Iterator[tuple[str, ...]]:
-    """Motzkin paths of the given length, steps R < F < L at each abscissa."""
+# Step tables (kind, height change, width), in the order the walker tries
+# them at each abscissa.
+_MOTZKIN = ((RISE, 1, 1), (FALL, -1, 1), ("L", 0, 1))
+_DYCK = _MOTZKIN[:2]
+_SCHROEDER = ((RISE, 1, 1), (FALL, -1, 1), (LL1, 0, 2), (LL2, 0, 2))
+_HEIGHT_CHANGE = {kind: dh for kind, dh, _ in _MOTZKIN + _SCHROEDER}
+
+
+def _walk(table, length: int) -> Iterator[tuple[Optional[str], ...]]:
+    """Paths of the given length from height 0 back to 0 that never dip
+    below 0, depth-first in table order.  A step of width w fills w
+    abscissae: its kind, then w-1 Nones."""
+    moves = [((kind,) + (None,) * (width - 1), dh, width) for kind, dh, width in table]
 
     def rec(prefix, h, remaining):
         if remaining == 0:
-            if h == 0:
-                yield tuple(prefix)
+            yield prefix
             return
-        if h + 1 <= remaining - 1:
-            yield from rec(prefix + ["R"], h + 1, remaining - 1)
-        if h >= 1:
-            yield from rec(prefix + ["F"], h - 1, remaining - 1)
-        if h <= remaining - 1:
-            yield from rec(prefix + ["L"], h, remaining - 1)
+        for cells, dh, width in moves:
+            # The walk must still be able to come back down to height 0.
+            if 0 <= h + dh <= remaining - width:
+                yield from rec(prefix + cells, h + dh, remaining - width)
 
-    yield from rec([], 0, length)
+    yield from rec((), 0, length)
+
+
+def enumerate_motzkin(length: int) -> Iterator[tuple[str, ...]]:
+    """Motzkin paths of the given length, steps R < F < L at each abscissa."""
+    yield from _walk(_MOTZKIN, length)
 
 
 def enumerate_dyck(length: int) -> Iterator[tuple[str, ...]]:
-    """Dyck paths of the given (even) length."""
+    """Dyck paths of the given (even) length, steps R < F at each abscissa."""
     if length % 2 != 0:
         raise ValueError("Dyck paths have even length")
-
-    def rec(prefix, h, remaining):
-        if remaining == 0:
-            if h == 0:
-                yield tuple(prefix)
-            return
-        if h + 1 <= remaining - 1:
-            yield from rec(prefix + ["R"], h + 1, remaining - 1)
-        if h >= 1:
-            yield from rec(prefix + ["F"], h - 1, remaining - 1)
-
-    yield from rec([], 0, length)
+    yield from _walk(_DYCK, length)
 
 
 def enumerate_schroeder2(length: int) -> Iterator[SchroederPath]:
@@ -219,32 +215,17 @@ def enumerate_schroeder2(length: int) -> Iterator[SchroederPath]:
     """
     if length % 2 != 0:
         raise ValueError("Schroeder paths have even length")
-
-    def rec(prefix, h, remaining):
-        if remaining == 0:
-            if h == 0:
-                yield SchroederPath(tuple(prefix))
-            return
-        if h + 1 <= remaining - 1:
-            yield from rec(prefix + [RISE], h + 1, remaining - 1)
-        if h >= 1 and h - 1 <= remaining - 1:
-            yield from rec(prefix + [FALL], h - 1, remaining - 1)
-        if remaining >= 2 and h <= remaining - 2:
-            yield from rec(prefix + [LL1, None], h, remaining - 2)
-            yield from rec(prefix + [LL2, None], h, remaining - 2)
-
-    yield from rec([], 0, length)
+    for steps in _walk(_SCHROEDER, length):
+        yield SchroederPath(steps)
 
 
-def enumerate_labeled_schroeder2(
-    length: int, bounds: LabelBounds = KZ_BOUNDS
-) -> Iterator[LabeledSchroederPath]:
-    """All labeled 2-colored paths obeying the bounds; step sequences first,
-    label vectors in lexicographic order within each path."""
-    ceiling = {RISE: bounds.rise, FALL: bounds.fall, LL1: bounds.level1, LL2: bounds.level2}
+def enumerate_labeled_schroeder2(length: int) -> Iterator[LabeledSchroederPath]:
+    """All labeled 2-colored paths obeying the label ceilings of the
+    matching bijection; step sequences first, label vectors in
+    lexicographic order within each path."""
     for path in enumerate_schroeder2(length):
         slots = [
-            (i, ceiling[s](path.heights[i]))
+            (i, _CEILING[s](path.heights[i]))
             for i, s in enumerate(path.steps)
             if s is not None
         ]
@@ -285,31 +266,15 @@ class FlajoletWeights:
 def flajolet_weight(path, w: FlajoletWeights) -> Polynomial:
     """Product of per-step weights over a Motzkin/Dyck tuple or a
     SchroederPath."""
+    weight = {RISE: w.rise, FALL: w.fall, "L": w.level, LL1: w.level, LL2: w.level2}
+    steps = path.steps if isinstance(path, SchroederPath) else path
     total = Polynomial.one()
-    if isinstance(path, SchroederPath):
-        for i, s in enumerate(path.steps):
-            if s is None:
-                continue
-            h = path.heights[i]
-            if s == RISE:
-                total = total * w.rise(h)
-            elif s == FALL:
-                total = total * w.fall(h)
-            elif s == LL1:
-                total = total * w.level(h)
-            else:
-                total = total * w.level2(h)
-        return total
     h = 0
-    for s in path:
-        if s == "R":
-            total = total * w.rise(h)
-            h += 1
-        elif s == "F":
-            total = total * w.fall(h)
-            h -= 1
-        else:
-            total = total * w.level(h)
+    for s in steps:
+        if s is None:
+            continue
+        total = total * weight[s](h)
+        h += _HEIGHT_CHANGE[s]
     return total
 
 
@@ -323,38 +288,19 @@ def flajolet_check(order: int, w: FlajoletWeights) -> bool:
     """
     from .contfrac import TCoeffs, expand_J, expand_S, expand_T
 
-    motzkin = Series(
-        order,
-        [
-            Polynomial.sum(flajolet_weight(p, w) for p in enumerate_motzkin(n))
+    def path_sum(enumerate_paths, steps_per_n: int) -> Series:
+        return Series(order, [
+            Polynomial.sum(flajolet_weight(p, w) for p in enumerate_paths(steps_per_n * n))
             for n in range(order + 1)
-        ],
-    )
-    if motzkin != expand_J(lambda i: w.level(i), lambda i: w.rise(i - 1) * w.fall(i), order):
-        return False
+        ])
 
-    dyck = Series(
-        order,
-        [
-            Polynomial.sum(flajolet_weight(p, w) for p in enumerate_dyck(2 * n))
-            for n in range(order + 1)
-        ],
-    )
-    if dyck != expand_S(lambda i: w.rise(i - 1) * w.fall(i), order):
+    alpha = lambda i: w.rise(i - 1) * w.fall(i)
+    if path_sum(enumerate_motzkin, 1) != expand_J(w.level, alpha, order):
         return False
-
-    schroeder = Series(
-        order,
-        [
-            Polynomial.sum(flajolet_weight(p, w) for p in enumerate_schroeder2(2 * n))
-            for n in range(order + 1)
-        ],
-    )
-    seq = TCoeffs(
-        alpha=lambda i: w.rise(i - 1) * w.fall(i),
-        delta=lambda i: w.level(i - 1) + w.level2(i - 1),
-    )
-    return schroeder == expand_T(seq, order)
+    if path_sum(enumerate_dyck, 2) != expand_S(alpha, order):
+        return False
+    delta = lambda i: w.level(i - 1) + w.level2(i - 1)
+    return path_sum(enumerate_schroeder2, 2) == expand_T(TCoeffs(alpha, delta), order)
 
 
 # -- the bijection ----------------------------------------------------------------------

@@ -526,35 +526,33 @@ def var(name: str, *indices: int) -> Polynomial:
 _FACTOR = re.compile(
     r"^(?P<name>[A-Za-z][A-Za-z0-9']*)"
     r"(?:\[(?P<idx>\d+(?:,\d+)?)\])?"
-    r"(?:\^(?P<exp>\d+))?$"
+    r"(?:\^(?P<exp>\d+))?$",
+    re.ASCII,
 )
-_NUMBER = re.compile(r"^\d+(?:/\d+)?$")
+_NUMBER = re.compile(r"^\d+(?:/\d+)?$", re.ASCII)
+_TERM_SEP = re.compile(r"\s*([+-])\s*")
 
 
 def parse_poly(text: str) -> Polynomial:
-    """Parse the canonical text format emitted by ``str(Polynomial)``."""
-    s = text.replace(" ", "")
+    """Parse the canonical text format emitted by ``str(Polynomial)``.
+
+    Terms are joined by binary ``+`` or ``-`` with optional whitespace
+    around the operator, and the first term may carry a sign.  Whitespace
+    anywhere else and empty terms are errors.
+    """
+    s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
-    if s == "0":
-        return Polynomial.zero()
-    # Split into signed terms.
-    terms: list[tuple[int, str]] = []
     sign = 1
-    buf = ""
-    for ch in s:
-        if ch in "+-" and buf:
-            terms.append((sign, buf))
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        elif ch == "-" and not buf and not terms and sign == 1:
-            sign = -1
-        elif ch == "+" and not buf:
-            continue
-        else:
-            buf += ch
-    if buf:
-        terms.append((sign, buf))
+    if s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        s = s[1:]
+    parts = _TERM_SEP.split(s)
+    terms = [(sign, parts[0])] + [
+        (1 if op == "+" else -1, term) for op, term in zip(parts[1::2], parts[2::2])
+    ]
+    if any(not term for _, term in terms):
+        raise ValueError(f"empty term in {text!r}")
     total = Polynomial.zero()
     for sgn, term in terms:
         coeff: Rat = sgn
@@ -562,7 +560,7 @@ def parse_poly(text: str) -> Polynomial:
         for factor in term.split("*"):
             if not factor:
                 raise ValueError(f"bad term {term!r}")
-            if _NUMBER.match(factor):
+            if _NUMBER.fullmatch(factor):
                 if "/" in factor:
                     num, den = factor.split("/")
                     if int(den) == 0:
@@ -571,7 +569,7 @@ def parse_poly(text: str) -> Polynomial:
                 else:
                     coeff = coeff * int(factor)
                 continue
-            m = _FACTOR.match(factor)
+            m = _FACTOR.fullmatch(factor)
             if not m:
                 raise ValueError(f"bad factor {factor!r} in {text!r}")
             idx = tuple(int(i) for i in m.group("idx").split(",")) if m.group("idx") else ()
@@ -674,12 +672,6 @@ class Series:
     def shift(self) -> "Series":
         """Multiply by t, truncating at the fixed order."""
         return Series(self.order, (Polynomial.zero(),) + self.coeffs[:-1])
-
-    def shift_to(self, order: int) -> "Series":
-        """Multiply by t, re-truncating at the given order."""
-        coeffs = ((Polynomial.zero(),) + self.coeffs)[: order + 1]
-        coeffs = coeffs + (Polynomial.zero(),) * (order + 1 - len(coeffs))
-        return Series(order, coeffs)
 
     def deriv_t(self) -> "Series":
         """d/dt, exact on the known coefficients (order drops by one)."""

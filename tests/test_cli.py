@@ -186,9 +186,43 @@ def test_inversion_size_below_1_is_usage_error(capsys, argv, flag):
 @pytest.mark.parametrize("argv", [
     ("expand", "--family", "ward", "--order", "2", "--set", "t=1"),
     ("invert", "--order", "2", "--set", "t=x"),
+    ("expand", "--family", "ward", "--order", "2", "--set", "x=t"),
+    ("invert", "--order", "2", "--set", "z=2*t^2 + 1"),
 ])
 def test_set_rejects_series_variable(capsys, argv):
     assert "series variable" in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--suite", "thm1.1", "--n", "-1"), "--n"),
+    (("verify", "--suite", "appendixB", "--n", "-2"), "--n"),
+    (("verify", "--suite", "contraction", "--n", "-1"), "--n"),
+    (("expand", "--family", "ward", "--order", "-1"), "--order"),
+    (("triangle", "--family", "ward", "--rows", "-1"), "--rows"),
+])
+def test_negative_size_is_usage_error(capsys, argv, flag):
+    assert flag in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("value", ["-3", "abc", ""])
+def test_bad_env_cap_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("WARDCF_MAX_N", value)
+    assert "WARDCF_MAX_N" in usage_error(capsys, "verify", "--suite", "thm1.1", "--n", "2")
+
+
+@pytest.mark.parametrize("value", ["x y", "x+", "-", "x * y"])
+def test_malformed_set_value_is_usage_error(capsys, value):
+    usage_error(capsys, "expand", "--family", "ward", "--order", "2", "--set", f"x={value}")
+
+
+def test_size_0_is_accepted(capsys, monkeypatch):
+    assert invoke(capsys, "expand", "--family", "ward", "--order", "0") == (0, "1\n")
+    assert invoke(capsys, "triangle", "--family", "ward", "--rows", "0") == (0, "1\n")
+    code, out = invoke(capsys, "verify", "--suite", "appendixB", "--n", "0")
+    assert code == 0 and out.startswith("PASS")
+    monkeypatch.setenv("WARDCF_MAX_N", "0")
+    code, out = invoke(capsys, "verify", "--suite", "thm1.1", "--n", "2")
+    assert code == 0 and "clamped to 0" in out and "PASS" in out
 
 
 def test_inversion_size_1_is_accepted(capsys):

@@ -129,6 +129,21 @@ def test_depth_stability():
     assert expand_J(ZERO, beta, 5) == expand_J(ZERO, beta, 5, depth=8)
 
 
+def test_depth_one_is_the_hand_truncated_fraction():
+    # depth=1 replaces the tail below the first level by 1.
+    a1, d1, c0, b1 = var("a", 1), var("d", 1), var("c", 0), var("b", 1)
+    for order in range(6):
+        t_frac = expand_T(TCoeffs(lambda i: var("a", i), lambda i: var("d", i)), order, depth=1)
+        # 1 / (1 - d1 t - a1 t) = sum (d1 + a1)^n t^n
+        assert t_frac == Series(order, [(d1 + a1) ** n for n in range(order + 1)])
+        j_frac = expand_J(lambda i: var("c", i), lambda i: var("b", i), order, depth=1)
+        # 1 / (1 - c0 t - b1 t^2): e_n = c0 e_(n-1) + b1 e_(n-2)
+        e = [Polynomial.one(), c0]
+        while len(e) <= order:
+            e.append(c0 * e[-1] + b1 * e[-2])
+        assert j_frac == Series(order, e[: order + 1])
+
+
 def test_T_with_zero_delta_equals_S():
     for order in range(0, 9):
         seq = named_family("semifactorial")

@@ -10,7 +10,6 @@ from wardcf.matchings import (
     super_weight,
 )
 from wardcf.paths import (
-    KZ_BOUNDS,
     FlajoletWeights,
     LabeledSchroederPath,
     SchroederPath,
@@ -82,6 +81,21 @@ def test_enumeration_counts():
         for n in range(4)
     ]
     assert large == [1, 2, 6, 22]  # one color of long levels allowed
+
+
+def test_enumeration_order():
+    # Depth-first, steps tried R < F < L (Motzkin), R < F (Dyck) and
+    # R < F < W < D (Schroeder) at each abscissa.
+    assert ["".join(p) for p in enumerate_motzkin(4)] == [
+        "RRFF", "RFRF", "RFLL", "RLFL", "RLLF", "LRFL", "LRLF", "LLRF", "LLLL",
+    ]
+    assert ["".join(p) for p in enumerate_dyck(6)] == [
+        "RRRFFF", "RRFRFF", "RRFFRF", "RFRRFF", "RFRFRF",
+    ]
+    assert ["".join(s or "." for s in p.steps) for p in enumerate_schroeder2(4)] == [
+        "RRFF", "RFRF", "RFW.", "RFD.", "RW.F", "RD.F",
+        "W.RF", "W.W.", "W.D.", "D.RF", "D.W.", "D.D.",
+    ]
 
 
 def test_counts_match_continued_fractions():

@@ -278,6 +278,20 @@ def test_compositional_inverse_errors():
         Series(1, [0, x]).compositional_inverse()
 
 
+@pytest.mark.parametrize("text", [
+    "x y", "x+", "-", "+", "x * y", "- x", "x - -y", "x++y", "2*x\n*y", "*x", "x*", "",
+    "\u0663*x", "a[\u0662]",
+])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
+def test_parse_allows_whitespace_around_binary_signs():
+    assert parse_poly("x-y") == parse_poly("x - y") == x - var("y")
+    assert parse_poly(" -x+1 ") == -x + 1
+
+
 def test_parse_rejects_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_poly("3/0*x")
