@@ -114,7 +114,7 @@ def _cmd_expand(args) -> int:
 SuiteResult = tuple[bool, str]
 
 
-def _suite_thm11(n: int) -> SuiteResult:
+def _suite_thm11(n: int, cap: int) -> SuiteResult:
     from .poly import var
 
     x = var("x")
@@ -138,7 +138,7 @@ def _suite_thm11(n: int) -> SuiteResult:
     return True, f"fraction = triangle = trees = matchings for n <= {n}"
 
 
-def _suite_thm12(n: int) -> SuiteResult:
+def _suite_thm12(n: int, cap: int) -> SuiteResult:
     from .contfrac import TCoeffs
     from .poly import var
 
@@ -171,7 +171,7 @@ def _suite_thm12(n: int) -> SuiteResult:
     return True, f"five-variable matching count matches its fraction for n <= {n}"
 
 
-def _suite_thm21(n: int) -> SuiteResult:
+def _suite_thm21(n: int, cap: int) -> SuiteResult:
     w = matchings.IndexedWeights.symbolic()
     series = contfrac.expand_T(contfrac.named_family("master-T"), n)
     for m in range(n + 1):
@@ -182,7 +182,7 @@ def _suite_thm21(n: int) -> SuiteResult:
     return True, f"symbolic decorated-matching fraction verified for n <= {n}"
 
 
-def _suite_cor23(n: int) -> SuiteResult:
+def _suite_cor23(n: int, cap: int) -> SuiteResult:
     from .poly import var
 
     s18 = contfrac.expand_T(matchings.tfraction_18var(), n)
@@ -205,7 +205,7 @@ def _suite_cor23(n: int) -> SuiteResult:
     return True, f"18- and 12-variable specializations verified for n <= {n}"
 
 
-def _suite_bijection_schroeder(n: int) -> SuiteResult:
+def _suite_bijection_schroeder(n: int, cap: int) -> SuiteResult:
     for m in range(n + 1):
         seen = set()
         for sm in matchings.enumerate_super(m):
@@ -224,7 +224,7 @@ def _suite_bijection_schroeder(n: int) -> SuiteResult:
     return True, f"decorated matchings <-> labeled paths verified for n <= {n}"
 
 
-def _suite_bijection_phylo(n: int) -> SuiteResult:
+def _suite_bijection_phylo(n: int, cap: int) -> SuiteResult:
     tri = ward.ward_triangle(max(n, 1))
     for m in range(n + 1):
         by_wiggly: dict[int, int] = {}
@@ -239,7 +239,7 @@ def _suite_bijection_phylo(n: int) -> SuiteResult:
     return True, f"decorated matchings <-> trees verified for n <= {n}"
 
 
-def _suite_lemma42(n: int) -> SuiteResult:
+def _suite_lemma42(n: int, cap: int) -> SuiteResult:
     for m in range(n + 1):
         for sm in matchings.enumerate_super(m):
             if not paths.verify_statistics(sm):
@@ -247,7 +247,7 @@ def _suite_lemma42(n: int) -> SuiteResult:
     return True, f"per-vertex statistic translation verified for n <= {n}"
 
 
-def _suite_appendixB(n: int) -> SuiteResult:
+def _suite_appendixB(n: int, cap: int) -> SuiteResult:
     for name, check in [
         ("nonlinear recurrence", ward.check_prop_B1),
         ("linear recurrence", ward.check_cor_B2),
@@ -271,7 +271,7 @@ def _suite_ward_euler(n: int, cap: int) -> SuiteResult:
     return True, f"second-order Eulerian identities verified for n <= {n}"
 
 
-def _suite_flajolet(n: int) -> SuiteResult:
+def _suite_flajolet(n: int, cap: int) -> SuiteResult:
     from .poly import var
 
     w = paths.FlajoletWeights(
@@ -288,7 +288,7 @@ def _suite_flajolet(n: int) -> SuiteResult:
     return True, f"path generating functions match fractions to order {n}"
 
 
-def _suite_contraction(n: int) -> SuiteResult:
+def _suite_contraction(n: int, cap: int) -> SuiteResult:
     from .contfrac import TCoeffs
     from .poly import var
 
@@ -304,7 +304,7 @@ def _suite_contraction(n: int) -> SuiteResult:
     return True, f"even-level contraction verified to order {n}"
 
 
-def _suite_euler_identity(n: int) -> SuiteResult:
+def _suite_euler_identity(n: int, cap: int) -> SuiteResult:
     from .poly import var
 
     x = var("x")
@@ -317,15 +317,16 @@ def _suite_euler_identity(n: int) -> SuiteResult:
     return True, f"partial-product fractions verified to order {n}"
 
 
-def _suite_closed_form(n: int) -> SuiteResult:
+def _suite_closed_form(n: int, cap: int) -> SuiteResult:
     _require_at_least("--n", n, 1)
     if not ward.check_closed_form_u_eq_x(n):
         return False, f"u=x closed form fails at order {n}"
     return True, f"u=x closed form and its series verified to order {n}"
 
 
-# name -> (runner, capped by WARDCF_MAX_N)
-SUITES: dict[str, tuple[Callable[[int], SuiteResult], bool]] = {
+# name -> (runner, n clamped to WARDCF_MAX_N before the call); every runner
+# receives the cap too, for suites that cap only their enumeration parts.
+SUITES: dict[str, tuple[Callable[[int, int], SuiteResult], bool]] = {
     "thm1.1": (_suite_thm11, True),
     "thm1.2": (_suite_thm12, True),
     "thm2.1": (_suite_thm21, True),
@@ -334,7 +335,7 @@ SUITES: dict[str, tuple[Callable[[int], SuiteResult], bool]] = {
     "bijection-phylo": (_suite_bijection_phylo, True),
     "lemma4.2": (_suite_lemma42, True),
     "appendixB": (_suite_appendixB, False),
-    "ward-euler": (None, False),  # handled specially: mixed cap
+    "ward-euler": (_suite_ward_euler, False),
     "flajolet": (_suite_flajolet, True),
     "contraction": (_suite_contraction, False),
     "euler-identity": (_suite_euler_identity, False),
@@ -346,14 +347,11 @@ def _cmd_verify(args) -> int:
     _require_at_least("--n", args.n, 0)
     cap = _max_n()
     name = args.suite
-    if name == "ward-euler":
-        ok, detail = _suite_ward_euler(args.n, cap)
-    else:
-        runner, capped = SUITES[name]
-        n = min(args.n, cap) if capped else args.n
-        if capped and n < args.n:
-            print(f"note: n clamped to {n} by WARDCF_MAX_N")
-        ok, detail = runner(n)
+    runner, capped = SUITES[name]
+    n = min(args.n, cap) if capped else args.n
+    if capped and n < args.n:
+        print(f"note: n clamped to {n} by WARDCF_MAX_N")
+    ok, detail = runner(n, cap)
     print(f"{'PASS' if ok else 'FAIL'}: {name}: {detail}")
     return 0 if ok else 1
 
@@ -369,6 +367,10 @@ _HANKEL_SEQS = {
 
 
 def _cmd_hankel(args) -> int:
+    _require_at_least("--size", args.size, 1)
+    r_max = args.rmax if args.rmax is not None else args.size
+    if not 1 <= r_max <= args.size:
+        raise ValueError(f"--rmax must be within 1..{args.size}, got {r_max}")
     if args.size > hankel.LARGE_SECTION_BUDGET and not args.allow_large:
         print(
             f"wardcf: size {args.size} exceeds the desk budget"
@@ -377,7 +379,6 @@ def _cmd_hankel(args) -> int:
         )
         return 2
     section = hankel.hankel_section(_HANKEL_SEQS[args.family], args.size)
-    r_max = args.rmax if args.rmax is not None else args.size
     ok, counterexample = hankel.all_minors_nonneg(section, r_max)
     report = {
         "sequence": args.family,

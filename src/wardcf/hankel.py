@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .poly import Monomial, Polynomial, Rat, VarId, _norm_coeff
+from .poly import Polynomial, Rat, _Packed
 
 
 @dataclass(frozen=True)
@@ -89,61 +89,6 @@ def det_bareiss(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
 
 # -- packed representation for the all-minors scan ----------------------------------------
-
-
-class _Packed:
-    """Polynomials over a fixed variable list with integer-packed monomials."""
-
-    def __init__(self, variables: list[VarId], base: int):
-        self.variables = variables
-        self.base = base
-        self.weights = [base**i for i in range(len(variables))]
-        self.index = {v: i for i, v in enumerate(variables)}
-
-    def pack(self, p: Polynomial) -> dict[int, Rat]:
-        out: dict[int, Rat] = {}
-        for mono, c in p.terms.items():
-            key = 0
-            for v, e in mono.exps:
-                key += e * self.weights[self.index[v]]
-            out[key] = c
-        return out
-
-    def unpack(self, d: dict[int, Rat]) -> Polynomial:
-        terms = {}
-        for key, c in d.items():
-            exps = []
-            rem = key
-            for v, w in zip(self.variables, self.weights):
-                e = (rem // w) % self.base
-                if e:
-                    exps.append((v, e))
-            terms[Monomial(exps)] = c
-        return Polynomial(terms)
-
-    @staticmethod
-    def mul(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, Rat]:
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, Rat] = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                prev = get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return {k: c for k, c in out.items() if c != 0}
-
-    @staticmethod
-    def sub(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, Rat]:
-        out = dict(a)
-        for k, c in b.items():
-            s = out.get(k, 0) - c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
 
 
 def _packed_section(h: HankelSection) -> tuple[_Packed, list[list[dict[int, Rat]]]]:

@@ -16,16 +16,30 @@ with no vertex touched by both kinds of line.  Vertex statistics:
 
 Enumeration order is fixed (smallest unmatched vertex first) so streams are
 reproducible.
+
+The counting oracles poly_18var, poly_12var, generalized_ward_oracle,
+count_Mprime and count_augmented never list decorated matchings.  Their
+weights are local: a wiggly or dashed line on (i, i+1) replaces the pure
+weights of its two vertices.  So each oracle takes one left-to-right sweep
+per base matching for the closer statistics and then sums over the
+decorations by a two-state transfer along 1..2n (``_decorated_sum``); the
+counts read one histogram of closer/opener adjacencies per n.  The brute
+sums over enumerate_super / enumerate_augmented are their references in
+the tests.  master_poly_T / master_poly_S still sum super_weight over the
+enumeration.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterator
 
-from .poly import Monomial, Polynomial, Rat, VarId, var
+from .poly import Polynomial, VarId, _Packed, var
 
 
 class PerfectMatching:
@@ -289,14 +303,28 @@ def clop_count(pm: PerfectMatching) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def _clop_histogram(n: int) -> tuple[tuple[int, int], ...]:
+    """(c, number of matchings of [2n] with c closer/opener adjacencies),
+    by increasing c; one pass over the base matchings per n."""
+    return tuple(sorted(Counter(clop_count(pm) for pm in enumerate_matchings(n)).items()))
+
+
 def count_Mprime(n: int, l: int) -> int:
     """Matchings of [2n] with exactly l closer/opener adjacencies."""
-    return sum(1 for pm in enumerate_matchings(n) if clop_count(pm) == l)
+    return sum(h for c, h in _clop_histogram(n) if c == l)
 
 
 def count_augmented(n: int, l: int) -> int:
-    """Wiggly-only decorated matchings of [2n] with l wiggly lines."""
-    return sum(1 for sm in enumerate_augmented(n) if len(sm.wiggly) == l)
+    """Wiggly-only decorated matchings of [2n] with l wiggly lines.
+
+    The wiggly sites of a matching are its closer/opener adjacencies, and
+    no two of them share a vertex, so a matching with c of them carries
+    C(c, l) decorations with l wiggly lines.
+    """
+    if l < 0:
+        return 0
+    return sum(h * comb(c, l) for c, h in _clop_histogram(n))
 
 
 # -- weight families and master polynomials --------------------------------------------
@@ -371,11 +399,100 @@ def master_poly_S(
 
 # -- specialized statistics polynomials -------------------------------------------------
 
-_VARS_18 = [
-    VarId(s)
-    for s in ("x", "y", "u", "v", "x'", "y'", "u'", "v'", "x''", "y''", "u''", "v''",
-              "p", "q", "p'", "q'", "p''", "q''")
-]
+
+def _closer_stats(partner: tuple[int, ...]) -> list:
+    """(cr(k), ne(k)) at every closer k and None at every opener, from one
+    left-to-right sweep over a partner array.
+
+    The sweep keeps the open openers in increasing order.  At closer k with
+    opener j, the open openers after j are the arches crossing (j, k) and
+    those before j the arches nesting over it; k is an antirecord iff
+    ne(k) = 0.
+    """
+    opened: list[int] = []
+    stats: list = [None] * len(partner)
+    for k in range(1, len(partner)):
+        j = partner[k]
+        if j > k:
+            opened.append(k)
+        else:
+            before = opened.index(j)
+            del opened[before]
+            stats[k] = (len(opened) - before, before)
+    return stats
+
+
+def _decorated_sum(
+    n: int, factors: Callable[[int, int, int, int], tuple[int, int, int]]
+) -> dict[int, int]:
+    """Sum over the decorated matchings of [2n] of the product of their
+    closer factors, as a map from packed monomial keys to counts.
+
+    factors(k, j, cr, ne) gives the packed keys of the (pure, wiggly,
+    dashed) factor of closer k with opener j.  A closer weighs its wiggly
+    factor when it carries the wiggly line on (k, k+1), its dashed factor
+    when it carries the dashed line on (k-1, k), and its pure factor
+    otherwise; openers weigh 1.
+
+    One sweep per base matching gives the closer statistics; then a
+    two-state transfer along positions 1..2n sums over the decorations.
+    With ``here`` the sum over the decorations of vertices 1..i-1 and
+    ``before`` the one over 1..i-2, vertex i is either free (here times its
+    pure factor) or covered by the line on (i-1, i) (before times the
+    line's factor), so no vertex carries two lines.
+    """
+    total: dict[int, int] = {}
+    for pm in enumerate_matchings(n):
+        partner = pm.partner
+        stats = _closer_stats(partner)
+        before: dict[int, int] = {}
+        here = {0: 1}
+        wiggly = None  # wiggly factor of vertex i-1 when it is a closer
+        for i in range(1, len(partner)):
+            j = partner[i]
+            if j > i:  # an opener, covered only by a wiggly line from i-1
+                pure, line, wiggly = 0, wiggly, None
+            else:
+                pure, wiggly, dashed = factors(i, j, *stats[i])
+                line = dashed if partner[i - 1] > i - 1 else None
+            after = {key + pure: c for key, c in here.items()}
+            if line is not None:
+                for key, c in before.items():
+                    key += line
+                    after[key] = after.get(key, 0) + c
+            before, here = here, after
+        for key, c in here.items():
+            total[key] = total.get(key, 0) + c
+    return total
+
+
+def _packer(variables: list[VarId], max_exponent: int) -> _Packed:
+    """Packed keys whose exponent fields hold max_exponent without carrying."""
+    return _Packed(variables, 1 << max(max_exponent.bit_length(), 1))
+
+
+# Closer variables of the pure, wiggly and dashed classes: the record
+# variables for even antirecords, odd antirecords, even and odd other
+# closers, then the crossing and the nesting variable.
+_CLASSES_18 = (
+    ("x", "y", "u", "v", "p", "q"),
+    ("x'", "y'", "u'", "v'", "p'", "q'"),
+    ("x''", "y''", "u''", "v''", "p''", "q''"),
+)
+
+
+def _record_poly(n: int, classes: tuple[tuple[str, ...], ...]) -> Polynomial:
+    variables = sorted({VarId(name) for row in classes for name in row})
+    # Each closer takes one record variable, and each pair of arches
+    # crosses or nests at most once.
+    packer = _packer(variables, n + n * (n - 1) // 2)
+    keys = [[packer.weights[packer.index[VarId(name)]] for name in row] for row in classes]
+
+    def factors(k: int, j: int, crossings: int, nestings: int) -> tuple[int, int, int]:
+        slot = k % 2 + (2 if nestings else 0)
+        return tuple(row[slot] + crossings * row[4] + nestings * row[5] for row in keys)
+
+    return packer.unpack(_decorated_sum(n, factors))
 
 
 def poly_18var(n: int) -> Polynomial:
@@ -383,53 +500,17 @@ def poly_18var(n: int) -> Polynomial:
 
     Closers are classified three ways (pure / wiggly / dashed), and within
     each class by parity and by antirecord status; crossings and nestings
-    are split by the class of the closer in third position.
+    are split by the class of the closer in third position.  Computed from
+    partner arrays by ``_decorated_sum``; the brute sum over
+    ``enumerate_super`` is the reference in the tests.
     """
-    (x, y, u, v, xp, yp, up, vp, xpp, ypp, upp, vpp,
-     p, q, pp, qp, ppp, qpp) = _VARS_18
-    total: dict[Monomial, Rat] = {}
-    for sm in enumerate_super(n):
-        pm = sm.base
-        exps: dict[VarId, int] = {}
-
-        def bump(vid: VarId, by: int = 1):
-            if by:
-                exps[vid] = exps.get(vid, 0) + by
-
-        for k in pm.closers():
-            if k - 1 in sm.dashed:
-                vset = (xpp, ypp, upp, vpp)
-                pq = (ppp, qpp)
-            elif k in sm.wiggly:
-                vset = (xp, yp, up, vp)
-                pq = (pp, qp)
-            else:
-                vset = (x, y, u, v)
-                pq = (p, q)
-            even = k % 2 == 0
-            anti = is_antirecord(k, pm)
-            if anti:
-                bump(vset[0] if even else vset[1])
-            else:
-                bump(vset[2] if even else vset[3])
-            bump(pq[0], cr(k, pm))
-            bump(pq[1], ne(k, pm))
-        mono = Monomial(exps.items())
-        total[mono] = total.get(mono, 0) + 1
-    return Polynomial(total)
+    return _record_poly(n, _CLASSES_18)
 
 
 def poly_12var(n: int) -> Polynomial:
-    """poly_18var with the even/odd distinction forgotten."""
-    merge = {
-        VarId("y"): var("x"),
-        VarId("v"): var("u"),
-        VarId("y'"): var("x'"),
-        VarId("v'"): var("u'"),
-        VarId("y''"): var("x''"),
-        VarId("v''"): var("u''"),
-    }
-    return poly_18var(n).substitute(merge)
+    """poly_18var with the even/odd distinction forgotten (y, v -> x, u in
+    every class), from its own sweep."""
+    return _record_poly(n, tuple((x, x, u, u, p, q) for x, _, u, _, p, q in _CLASSES_18))
 
 
 def pq_bracket(n: int, p: Polynomial, q: Polynomial) -> Polynomial:
@@ -548,27 +629,14 @@ def generalized_ward_oracle(n: int) -> Polynomial:
 
     Pure closers weigh x (crossing number 0) or u (>= 1); dashed lines
     weigh z when their endpoints share an arch and w'' otherwise; wiggly
-    lines weigh w'.
+    lines weigh w'.  Computed from partner arrays by ``_decorated_sum``;
+    the brute sum over ``enumerate_super`` is the reference in the tests.
     """
-    x, u, z = VarId("x"), VarId("u"), VarId("z")
-    wp, wpp = VarId("w'"), VarId("w''")
-    total: dict[Monomial, Rat] = {}
-    for sm in enumerate_super(n):
-        pm = sm.base
-        exps = {x: 0, u: 0, z: 0, wp: 0, wpp: 0}
-        for k in pm.closers():
-            if k - 1 in sm.dashed:
-                if pm.partner[k] == k - 1:
-                    exps[z] += 1
-                else:
-                    exps[wpp] += 1
-            elif k in sm.wiggly:
-                exps[wp] += 1
-            else:
-                if cr(k, pm) == 0:
-                    exps[x] += 1
-                else:
-                    exps[u] += 1
-        mono = Monomial((vid, e) for vid, e in exps.items() if e)
-        total[mono] = total.get(mono, 0) + 1
-    return Polynomial(total)
+    # Each closer takes exactly one variable.
+    packer = _packer([VarId(name) for name in ("x", "u", "z", "w'", "w''")], n)
+    x, u, z, wp, wpp = packer.weights
+
+    def factors(k: int, j: int, crossings: int, nestings: int) -> tuple[int, int, int]:
+        return (x if crossings == 0 else u, wp, z if j == k - 1 else wpp)
+
+    return packer.unpack(_decorated_sum(n, factors))

@@ -96,12 +96,20 @@ def test_verify_failure_prints_fail_and_exits_1(capsys, monkeypatch):
     import wardcf.cli as cli
 
     monkeypatch.setitem(
-        cli.SUITES, "thm2.1", (lambda n: (False, "counterexample: pairs=(1,2); wiggly={}; dashed={}"), False)
+        cli.SUITES, "thm2.1",
+        (lambda n, cap: (False, "counterexample: pairs=(1,2); wiggly={}; dashed={}"), False),
     )
     code, out = invoke(capsys, "verify", "--suite", "thm2.1", "--n", "2")
     assert code == 1
     assert out.startswith("FAIL: thm2.1:")
     assert "pairs=(1,2)" in out
+
+
+def test_ward_euler_caps_only_its_enumeration(capsys, monkeypatch):
+    monkeypatch.setenv("WARDCF_MAX_N", "2")
+    code, out = invoke(capsys, "verify", "--suite", "ward-euler", "--n", "5")
+    assert code == 0
+    assert out == "PASS: ward-euler: second-order Eulerian identities verified for n <= 5\n"
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -202,6 +210,17 @@ def test_set_rejects_series_variable(capsys, argv):
 ])
 def test_negative_size_is_usage_error(capsys, argv, flag):
     assert flag in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--size", "-1"), "--size"),
+    (("--size", "0"), "--size"),
+    (("--size", "3", "--rmax", "-1"), "--rmax"),
+    (("--size", "3", "--rmax", "0"), "--rmax"),
+    (("--size", "3", "--rmax", "4"), "--rmax"),
+])
+def test_hankel_bad_size_names_its_flag(capsys, argv, flag):
+    assert flag in usage_error(capsys, "hankel", "--family", "ward", *argv)
 
 
 @pytest.mark.parametrize("value", ["-3", "abc", ""])

@@ -1,0 +1,99 @@
+"""Independence guard: an oracle must not call the code it is checked
+against, and a wrong oracle must make its suite fail.
+
+Each oracle runs at n = 3 under an in-process ``sys.setprofile`` hook that
+records the module and name of every Python function entered.  The table
+names, per oracle, the ``wardcf`` modules and the functions it must not
+enter, and one function it must enter (so that a hook that saw nothing
+cannot pass).
+"""
+
+import sys
+
+import pytest
+
+from wardcf import eulerian, matchings, trees, ward
+from wardcf.cli import run
+
+PACKAGE = {f"wardcf.{m}" for m in
+           ("contfrac", "matchings", "paths", "trees", "eulerian", "ward", "hankel", "cli")}
+
+
+def besides(*allowed):
+    """Every wardcf module except ``allowed`` (poly is always allowed)."""
+    return PACKAGE - {f"wardcf.{m}" for m in allowed}
+
+
+# (oracle, call at n = 3, modules it must not enter, functions it must not
+#  enter, a function it must enter)
+GUARDS = [
+    ("poly_18var", lambda: matchings.poly_18var(3), besides("matchings"),
+     {"enumerate_super", "super_weight"}, "enumerate_matchings"),
+    ("poly_12var", lambda: matchings.poly_12var(3), besides("matchings"),
+     {"enumerate_super", "poly_18var", "substitute"}, "enumerate_matchings"),
+    ("generalized_ward_oracle", lambda: matchings.generalized_ward_oracle(3),
+     besides("matchings"), {"enumerate_super"}, "enumerate_matchings"),
+    ("count_Mprime", lambda: matchings.count_Mprime(3, 1), besides("matchings"),
+     {"enumerate_super", "enumerate_augmented"}, "enumerate_matchings"),
+    ("count_augmented", lambda: matchings.count_augmented(3, 1), besides("matchings"),
+     {"enumerate_super", "enumerate_augmented"}, "enumerate_matchings"),
+    ("master_poly_T", lambda: matchings.master_poly_T(3, matchings.IndexedWeights.symbolic()),
+     besides("matchings"), set(), "enumerate_super"),
+    ("ward_poly", lambda: ward.ward_poly(3), besides("ward"),
+     {"expand_T", "generalized_ward_cf"}, "ward_triangle"),
+    ("enumerate_phylo", lambda: list(trees.enumerate_phylo(3, 2)), besides("trees"),
+     set(), "enumerate_phylo"),
+    ("multivariate_ward", lambda: trees.multivariate_ward(3), besides("trees"),
+     set(), "multivariate_ward"),
+    ("E2_reversed", lambda: eulerian.E2_reversed(3), besides("eulerian"),
+     {"enumerate_stirling_perms"}, "E2_poly"),
+]
+
+
+def entered(call):
+    """(module, function name) of every Python function entered by call()."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+@pytest.mark.parametrize("name, call, modules, functions, witness", GUARDS,
+                         ids=[g[0] for g in GUARDS])
+def test_oracle_stays_independent(name, call, modules, functions, witness):
+    # The closer/opener histogram is cached per n; start from an empty cache
+    # so that the count oracles do their work under the hook.
+    matchings._clop_histogram.cache_clear()
+    seen = entered(call)
+    assert witness in {fn for _, fn in seen}, f"{name}: the hook saw no {witness}"
+    assert not {mod for mod, _ in seen} & modules, f"{name} entered {modules & {m for m, _ in seen}}"
+    assert not {fn for mod, fn in seen if mod in PACKAGE | {"wardcf.poly"}} & functions
+
+
+def add_one(original):
+    return lambda *args: original(*args) + 1
+
+
+@pytest.mark.parametrize("suite, module, attr", [
+    ("thm1.1", matchings, "count_augmented"),
+    ("thm1.2", matchings, "generalized_ward_oracle"),
+    ("cor2.3", matchings, "poly_18var"),
+    ("cor2.3", matchings, "poly_12var"),
+    ("ward-euler", eulerian, "count_Mprime"),
+])
+def test_wrong_oracle_fails_its_suite(capsys, monkeypatch, suite, module, attr):
+    monkeypatch.setattr(module, attr, add_one(getattr(module, attr)))
+    code = run(["verify", "--suite", suite, "--n", "3"])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    assert out.startswith(f"FAIL: {suite}: "), out
+

@@ -6,6 +6,7 @@ import pytest
 from wardcf.contfrac import TCoeffs, expand_S, expand_T, named_family
 from wardcf.matchings import (
     IndexedWeights,
+    _closer_stats,
     PerfectMatching,
     SuperMatching,
     clop_count,
@@ -36,7 +37,7 @@ from wardcf.matchings import (
     tfraction_12var_bis2,
     tfraction_18var,
 )
-from wardcf.poly import Polynomial, VarId, var
+from wardcf.poly import Monomial, Polynomial, VarId, var
 
 
 def pm(*pairs):
@@ -356,6 +357,114 @@ def test_generalized_ward_specializes_to_ward_polys():
     }
     for n in range(5):
         assert generalized_ward_oracle(n).substitute(sub) == ward_poly(n)
+
+
+# -- brute references for the sweep-and-transfer oracles ------------------------------------
+
+
+def brute_poly_18var(n):
+    """Reference: one monomial per decorated matching, statistics by scans."""
+    (x, y, u, v, xp, yp, up, vp, xpp, ypp, upp, vpp,
+     p, q, pp, qp, ppp, qpp) = [
+        VarId(s)
+        for s in ("x", "y", "u", "v", "x'", "y'", "u'", "v'", "x''", "y''", "u''", "v''",
+                  "p", "q", "p'", "q'", "p''", "q''")
+    ]
+    total = {}
+    for sm in enumerate_super(n):
+        pm = sm.base
+        exps = {}
+
+        def bump(vid, by=1):
+            if by:
+                exps[vid] = exps.get(vid, 0) + by
+
+        for k in pm.closers():
+            if k - 1 in sm.dashed:
+                vset = (xpp, ypp, upp, vpp)
+                pq = (ppp, qpp)
+            elif k in sm.wiggly:
+                vset = (xp, yp, up, vp)
+                pq = (pp, qp)
+            else:
+                vset = (x, y, u, v)
+                pq = (p, q)
+            even = k % 2 == 0
+            anti = is_antirecord(k, pm)
+            if anti:
+                bump(vset[0] if even else vset[1])
+            else:
+                bump(vset[2] if even else vset[3])
+            bump(pq[0], cr(k, pm))
+            bump(pq[1], ne(k, pm))
+        mono = Monomial(exps.items())
+        total[mono] = total.get(mono, 0) + 1
+    return Polynomial(total)
+
+
+def brute_poly_12var(n):
+    merge = {
+        VarId(a): var(b)
+        for a, b in (("y", "x"), ("v", "u"), ("y'", "x'"), ("v'", "u'"),
+                     ("y''", "x''"), ("v''", "u''"))
+    }
+    return brute_poly_18var(n).substitute(merge)
+
+
+def brute_generalized_ward(n):
+    x, u, z = VarId("x"), VarId("u"), VarId("z")
+    wp, wpp = VarId("w'"), VarId("w''")
+    total = {}
+    for sm in enumerate_super(n):
+        pm = sm.base
+        exps = {x: 0, u: 0, z: 0, wp: 0, wpp: 0}
+        for k in pm.closers():
+            if k - 1 in sm.dashed:
+                if pm.partner[k] == k - 1:
+                    exps[z] += 1
+                else:
+                    exps[wpp] += 1
+            elif k in sm.wiggly:
+                exps[wp] += 1
+            else:
+                if cr(k, pm) == 0:
+                    exps[x] += 1
+                else:
+                    exps[u] += 1
+        mono = Monomial((vid, e) for vid, e in exps.items() if e)
+        total[mono] = total.get(mono, 0) + 1
+    return Polynomial(total)
+
+
+def brute_count_Mprime(n, l):
+    return sum(1 for m in enumerate_matchings(n) if clop_count(m) == l)
+
+
+def brute_count_augmented(n, l):
+    return sum(1 for sm in enumerate_augmented(n) if len(sm.wiggly) == l)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_oracles_match_brute_references(n):
+    assert poly_18var(n) == brute_poly_18var(n)
+    assert poly_12var(n) == brute_poly_12var(n)
+    assert generalized_ward_oracle(n) == brute_generalized_ward(n)
+    for l in range(-1, n + 2):
+        assert count_Mprime(n, l) == brute_count_Mprime(n, l)
+        assert count_augmented(n, l) == brute_count_augmented(n, l)
+
+
+def test_sweep_matches_vertex_statistics():
+    for n in range(6):
+        for m in enumerate_matchings(n):
+            stats = _closer_stats(m.partner)
+            assert stats[0] is None
+            for k in range(1, 2 * n + 1):
+                if m.is_opener(k):
+                    assert stats[k] is None
+                else:
+                    assert stats[k] == (cr(k, m), ne(k, m))
+                    assert (stats[k][1] == 0) == is_antirecord(k, m)
 
 
 # -- text format ----------------------------------------------------------------------------
