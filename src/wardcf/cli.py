@@ -48,9 +48,13 @@ def _parse_bindings(pairs: list[str]) -> dict[VarId, Polynomial]:
         if "=" not in item:
             raise ValueError(f"--set needs var=value, got {item!r}")
         name, value = item.split("=", 1)
+        if not name.strip():
+            raise ValueError(f"--set {item!r}: the variable name is missing")
         v = _parse_var(name.strip())
         if v is T_VAR:
             raise ValueError(f"--set cannot bind {v}, the series variable")
+        if v in out:
+            raise ValueError(f"--set binds {v} twice")
         p = parse_poly(value.strip())
         if p.contains_var(T_VAR):
             raise ValueError(f"--set {item!r}: the value contains {T_VAR}, the series variable")

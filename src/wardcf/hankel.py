@@ -7,17 +7,19 @@ contiguous ones) is a polynomial with nonnegative coefficients; this
 module checks all r x r minors with r <= r_max exactly.
 
 Determinants are exact.  The minor scan packs each monomial into a single
-integer key (exponents as digits of a large base) so that monomial
-products become integer additions, and computes all minors by expansion
-along the first row with memoization on (rows, columns) - each minor is
-computed once and shared.  An independent fraction-free (Bareiss)
-elimination with exact polynomial division is provided and cross-checked
-against cofactor expansion in the tests.
+integer key (``poly._Packed``) so that monomial products become integer
+additions, and goes level by level: the r x r minors are expanded along
+their first row into the (r-1) x (r-1) minors, which are then dropped.  A
+Hankel section is symmetric, so each level keeps only the pairs with rows
+<= cols.  An independent fraction-free (Bareiss) elimination with exact
+polynomial division is provided and cross-checked against cofactor
+expansion in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .poly import Polynomial, Rat, _Packed
@@ -88,22 +90,16 @@ def det_bareiss(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return det if sign == 1 else -det
 
 
-# -- packed representation for the all-minors scan ----------------------------------------
+# -- the all-minors scan on packed keys -------------------------------------------------
 
 
 def _packed_section(h: HankelSection) -> tuple[_Packed, list[list[dict[int, Rat]]]]:
-    variables = sorted({v for row in h.entries for p in row for v in p.variables()})
-    max_deg = 0
-    for row in h.entries:
-        for p in row:
-            for mono in p.terms:
-                for v, e in mono.exps:
-                    max_deg = max(max_deg, e)
-    bound = max_deg * h.m + 1
-    base = 1 << max(bound.bit_length(), 1)
-    packer = _Packed(variables, base)
-    grid = [[packer.pack(p) for p in row] for row in h.entries]
-    return packer, grid
+    entries = [p for row in h.entries for p in row]
+    variables = sorted({v for p in entries for v in p.variables()})
+    largest = max((e for p in entries for mono in p.terms for _, e in mono.exps), default=0)
+    # A minor multiplies at most m entries.
+    packer = _Packed(variables, largest * h.m)
+    return packer, [[packer.pack(p) for p in row] for row in h.entries]
 
 
 def all_minors_nonneg(
@@ -111,56 +107,35 @@ def all_minors_nonneg(
 ) -> tuple[bool, Optional[tuple[tuple[int, ...], tuple[int, ...], Polynomial]]]:
     """Scan every r x r minor, r <= r_max, for coefficientwise nonnegativity.
 
-    Returns (True, None) or (False, (rows, cols, minor)) with the
-    lexicographically first offending subset pair.  Minors are shared
-    through a memoized first-row expansion.
+    Returns (True, None) or (False, (rows, cols, minor)) with the first
+    offending subset pair in the order r, then rows, then cols, each
+    lexicographic.  Level r is expanded along the first row from level
+    r - 1 alone, and at most these two levels are held.  Minor (rows, cols)
+    equals minor (cols, rows) in a symmetric section, so only pairs with
+    rows <= cols are computed; the first offending pair always has
+    rows <= cols, since its mirror would come earlier.
     """
     if not 1 <= r_max <= h.m:
         raise ValueError(f"r_max must be within 1..{h.m}")
     packer, grid = _packed_section(h)
-    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Rat]] = {}
-
-    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, Rat]:
-        if not rows:
-            return {0: 1}
-        key = (rows, cols)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        mirrored = cache.get((cols, rows))
-        if mirrored is not None:  # Hankel sections are symmetric
-            cache[key] = mirrored
-            return mirrored
-        r0, rest = rows[0], rows[1:]
-        acc: dict[int, Rat] = {}
-        for idx, c in enumerate(cols):
-            entry = grid[r0][c]
-            if not entry:
-                continue
-            sub_cols = cols[:idx] + cols[idx + 1 :]
-            piece = _Packed.mul(entry, minor(rest, sub_cols))
-            if idx % 2 == 1:
-                piece = {k: -v for k, v in piece.items()}
-            get = acc.get
-            for k, v in piece.items():
-                prev = get(k)
-                s = v if prev is None else prev + v
-                if s == 0:
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
-        cache[key] = acc
-        return acc
-
-    from itertools import combinations
-
+    previous = {((), ()): {0: 1}}  # the 0 x 0 minor is 1
     for r in range(1, r_max + 1):
         subsets = list(combinations(range(h.m), r))
-        for rows in subsets:
-            for cols in subsets:
-                value = minor(rows, cols)
-                if any(c < 0 for c in value.values()):
-                    return False, (rows, cols, packer.unpack(value))
+        level: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Rat]] = {}
+        for i, rows in enumerate(subsets):
+            first, rest = rows[0], rows[1:]
+            for cols in subsets[i:]:
+                minor: dict[int, Rat] = {}
+                for idx, col in enumerate(cols):
+                    entry = grid[first][col]
+                    if entry:
+                        sub = cols[:idx] + cols[idx + 1 :]
+                        below = previous[(rest, sub) if rest <= sub else (sub, rest)]
+                        packer.add_product(minor, entry, below, -1 if idx % 2 else 1)
+                if any(c < 0 for c in minor.values()):
+                    return False, (rows, cols, packer.unpack(minor))
+                level[rows, cols] = minor
+        previous = level
     return True, None
 
 
@@ -185,19 +160,3 @@ def e2_reversed_sequence(n: int) -> Polynomial:
     from .eulerian import E2_reversed
 
     return E2_reversed(n)
-
-
-def check_e2_reversed_tp(m: int, r_max: int | None = None, allow_large: bool = False) -> bool:
-    """All minors of the m x m reversed second-order Eulerian Hankel section
-    are coefficientwise nonnegative.
-
-    Sections beyond the desk budget need allow_large=True; they are
-    correct but slow.
-    """
-    if m > LARGE_SECTION_BUDGET and not allow_large:
-        raise ValueError(
-            f"section size {m} exceeds the desk budget {LARGE_SECTION_BUDGET};"
-            " pass allow_large=True to run anyway"
-        )
-    ok, _ = all_minors_nonneg(hankel_section(e2_reversed_sequence, m), r_max or m)
-    return ok

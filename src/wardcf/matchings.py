@@ -381,7 +381,9 @@ def super_weight(sm: SuperMatching, w: IndexedWeights) -> Polynomial:
 
 def master_poly_T(n: int, w: IndexedWeights) -> Polynomial:
     """Sum of super_weight over all decorated matchings of [2n]."""
-    return Polynomial.sum(super_weight(sm, w) for sm in enumerate_super(n))
+    # Each weight is looked up by many decorated matchings; build it once.
+    cached = IndexedWeights(*(lru_cache(maxsize=None)(f) for f in (w.a, w.b, w.f, w.g)))
+    return Polynomial.sum(super_weight(sm, cached) for sm in enumerate_super(n))
 
 
 def master_poly_S(
@@ -466,11 +468,6 @@ def _decorated_sum(
     return total
 
 
-def _packer(variables: list[VarId], max_exponent: int) -> _Packed:
-    """Packed keys whose exponent fields hold max_exponent without carrying."""
-    return _Packed(variables, 1 << max(max_exponent.bit_length(), 1))
-
-
 # Closer variables of the pure, wiggly and dashed classes: the record
 # variables for even antirecords, odd antirecords, even and odd other
 # closers, then the crossing and the nesting variable.
@@ -485,8 +482,8 @@ def _record_poly(n: int, classes: tuple[tuple[str, ...], ...]) -> Polynomial:
     variables = sorted({VarId(name) for row in classes for name in row})
     # Each closer takes one record variable, and each pair of arches
     # crosses or nests at most once.
-    packer = _packer(variables, n + n * (n - 1) // 2)
-    keys = [[packer.weights[packer.index[VarId(name)]] for name in row] for row in classes]
+    packer = _Packed(variables, n + n * (n - 1) // 2)
+    keys = [[packer.key(VarId(name)) for name in row] for row in classes]
 
     def factors(k: int, j: int, crossings: int, nestings: int) -> tuple[int, int, int]:
         slot = k % 2 + (2 if nestings else 0)
@@ -633,8 +630,9 @@ def generalized_ward_oracle(n: int) -> Polynomial:
     the brute sum over ``enumerate_super`` is the reference in the tests.
     """
     # Each closer takes exactly one variable.
-    packer = _packer([VarId(name) for name in ("x", "u", "z", "w'", "w''")], n)
-    x, u, z, wp, wpp = packer.weights
+    variables = [VarId(name) for name in ("x", "u", "z", "w'", "w''")]
+    packer = _Packed(variables, n)
+    x, u, z, wp, wpp = map(packer.key, variables)
 
     def factors(k: int, j: int, crossings: int, nestings: int) -> tuple[int, int, int]:
         return (x if crossings == 0 else u, wp, z if j == k - 1 else wpp)

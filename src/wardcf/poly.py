@@ -37,10 +37,16 @@ def _accumulate(target: dict, terms: Mapping) -> None:
         target[m] = c if prev is None else prev + c
 
 
+# Variable names: an ASCII letter, then ASCII letters, digits or primes.
+# parse_poly reads exactly these, so every name survives its text format.
+_NAME = r"[A-Za-z][A-Za-z0-9']*"
+
+
 class VarId:
     """An indeterminate: a short name plus up to two nonnegative indices.
 
-    Examples: ``VarId("x")``, ``VarId("a", 3)``, ``VarId("b", 2, 1)``.
+    Examples: ``VarId("x")``, ``VarId("a", 3)``, ``VarId("b", 2, 1)``,
+    ``VarId("w''")``.
     Total order is lexicographic by (name, indices).  Instances are
     interned, so equality is identity.
     """
@@ -53,9 +59,9 @@ class VarId:
         got = cls._cache.get(key)
         if got is not None:
             return got
-        if not name or not name.replace("'", "").isalnum():
+        if not re.fullmatch(_NAME, name, re.ASCII):
             raise ValueError(f"bad variable name: {name!r}")
-        if len(indices) > 2 or any(i < 0 for i in indices):
+        if len(indices) > 2 or any(not isinstance(i, int) or i < 0 for i in indices):
             raise ValueError(f"bad variable indices: {indices!r}")
         self = super().__new__(cls)
         self.name = name
@@ -510,58 +516,54 @@ class Polynomial:
 
 
 class _Packed:
-    """Polynomials over a fixed variable list with integer-packed monomials."""
+    """Polynomials over a fixed variable list as dicts from packed integer
+    keys to nonzero coefficients.
 
-    def __init__(self, variables: list[VarId], base: int):
-        self.variables = variables
-        self.base = base
-        self.weights = [base**i for i in range(len(variables))]
-        self.index = {v: i for i, v in enumerate(variables)}
+    A monomial's key holds its exponents as the digits of one integer, in
+    a power-of-two base above max_exponent, so the key of a product is the
+    sum of the keys.  Every exponent that arises, in the factors and in
+    the products, must be at most max_exponent, or a digit carries into
+    the next variable's.
+    """
+
+    def __init__(self, variables: list[VarId], max_exponent: int):
+        self.base = 1 << max(max_exponent.bit_length(), 1)
+        self._keys = {v: self.base**i for i, v in enumerate(variables)}
+
+    def key(self, v: VarId) -> int:
+        """The key of the monomial v."""
+        return self._keys[v]
 
     def pack(self, p: Polynomial) -> dict[int, Rat]:
         out: dict[int, Rat] = {}
         for mono, c in p.terms.items():
-            key = 0
-            for v, e in mono.exps:
-                key += e * self.weights[self.index[v]]
-            out[key] = c
+            out[sum(e * self._keys[v] for v, e in mono.exps)] = c
         return out
 
     def unpack(self, d: dict[int, Rat]) -> Polynomial:
         terms = {}
         for key, c in d.items():
             exps = []
-            rem = key
-            for v, w in zip(self.variables, self.weights):
-                e = (rem // w) % self.base
+            for v in self._keys:
+                key, e = divmod(key, self.base)
                 if e:
                     exps.append((v, e))
             terms[Monomial(exps)] = c
         return Polynomial(terms)
 
     @staticmethod
-    def mul(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, Rat]:
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, Rat] = {}
-        get = out.get
+    def add_product(acc: dict[int, Rat], a: dict[int, Rat], b: dict[int, Rat], sign: int) -> None:
+        """Add sign*a*b into acc, dropping the keys whose coefficient cancels."""
+        get = acc.get
         for k1, c1 in a.items():
+            c1 *= sign
             for k2, c2 in b.items():
                 k = k1 + k2
-                prev = get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return {k: c for k, c in out.items() if c != 0}
-
-    @staticmethod
-    def sub(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, Rat]:
-        out = dict(a)
-        for k, c in b.items():
-            s = out.get(k, 0) - c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
+                s = get(k, 0) + c1 * c2
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
 
 
 def _coeff_str(c: Rat) -> str:
@@ -576,7 +578,7 @@ def var(name: str, *indices: int) -> Polynomial:
 
 
 _FACTOR = re.compile(
-    r"^(?P<name>[A-Za-z][A-Za-z0-9']*)"
+    rf"^(?P<name>{_NAME})"
     r"(?:\[(?P<idx>\d+(?:,\d+)?)\])?"
     r"(?:\^(?P<exp>\d+))?$",
     re.ASCII,
@@ -724,13 +726,6 @@ class Series:
     def shift(self) -> "Series":
         """Multiply by t, truncating at the fixed order."""
         return Series(self.order, (Polynomial.zero(),) + self.coeffs[:-1])
-
-    def deriv_t(self) -> "Series":
-        """d/dt, exact on the known coefficients (order drops by one)."""
-        return Series(
-            self.order - 1,
-            [self.coeffs[m] * m for m in range(1, self.order + 1)],
-        )
 
     def map_coeffs(self, f: Callable[[Polynomial], Polynomial]) -> "Series":
         return Series(self.order, [f(c) for c in self.coeffs])

@@ -234,6 +234,16 @@ def test_malformed_set_value_is_usage_error(capsys, value):
     usage_error(capsys, "expand", "--family", "ward", "--order", "2", "--set", f"x={value}")
 
 
+@pytest.mark.parametrize("sets, message", [
+    (("--set", "x=1", "--set", "x=2"), "binds x twice"),
+    (("--set", "x=1", "--set", " x =2"), "binds x twice"),
+    (("--set", "=2"), "variable name is missing"),
+    (("--set", " =x"), "variable name is missing"),
+])
+def test_set_names_one_variable_once(capsys, sets, message):
+    assert message in usage_error(capsys, "expand", "--family", "ward", "--order", "2", *sets)
+
+
 def test_size_0_is_accepted(capsys, monkeypatch):
     assert invoke(capsys, "expand", "--family", "ward", "--order", "0") == (0, "1\n")
     assert invoke(capsys, "triangle", "--family", "ward", "--rows", "0") == (0, "1\n")

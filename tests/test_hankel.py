@@ -1,10 +1,11 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardcf.hankel import (
     all_minors_nonneg,
-    check_e2_reversed_tp,
     det_bareiss,
     det_cofactor,
     e2_reversed_sequence,
@@ -47,6 +48,13 @@ def test_negative_counterexample():
     assert minor == Polynomial.const(-3)
 
 
+def test_counterexample_off_the_diagonal():
+    # The anti-diagonal section: the first offending pair has rows < cols,
+    # and the scan reports it as that pair, not as its mirror.
+    h = hankel_section(const_seq([0, 0, 1, 0, 0]), 3)
+    assert all_minors_nonneg(h, 3) == (False, ((0, 1), (1, 2), Polynomial.const(-1)))
+
+
 def test_delta_sequence_is_tp():
     h = hankel_section(const_seq([1, 0, 0, 0, 0]), 3)
     ok, ce = all_minors_nonneg(h, 3)
@@ -66,16 +74,9 @@ def test_generalized_ward_section_nonneg_small():
 
 
 def test_e2_reversed_tp():
-    assert check_e2_reversed_tp(1)
     h = hankel_section(e2_reversed_sequence, 2)
     det = det_cofactor([list(r) for r in h.entries])
     assert det == 1 + x  # (2+x) - 1
-    assert check_e2_reversed_tp(5)
-
-
-def test_e2_reversed_budget_guard():
-    with pytest.raises(ValueError):
-        check_e2_reversed_tp(7)
 
 
 def test_r_max_validation():
@@ -126,3 +127,54 @@ def test_bareiss_zero_column():
     assert det_bareiss(mat) == Polynomial.zero()
     mat2 = [[zero, x], [z, zero]]
     assert det_bareiss(mat2) == -(x * z)
+
+
+# -- the level scan against the memoized recursive scan ---------------------------------
+
+
+def memoized_minors_nonneg(h, r_max):
+    """The scan before the level-by-level rewrite, on Polynomials: every
+    minor by a memoized first-row expansion, looking up the mirrored pair
+    (cols, rows) of a symmetric section, over all pairs in the order r,
+    rows, cols."""
+    cache = {}
+
+    def minor(rows, cols):
+        if not rows:
+            return Polynomial.one()
+        got = cache.get((rows, cols), cache.get((cols, rows)))
+        if got is None:
+            got = Polynomial.zero()
+            for idx, c in enumerate(cols):
+                piece = h.entries[rows[0]][c] * minor(rows[1:], cols[:idx] + cols[idx + 1 :])
+                got = got - piece if idx % 2 else got + piece
+            cache[rows, cols] = got
+        return got
+
+    for r in range(1, r_max + 1):
+        subsets = list(combinations(range(h.m), r))
+        for rows in subsets:
+            for cols in subsets:
+                value = minor(rows, cols)
+                if not value.coefficientwise_nonneg():
+                    return False, (rows, cols, value)
+    return True, None
+
+
+@st.composite
+def mostly_nonneg_polys(draw):
+    p = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        exps = {v: draw(st.integers(0, 2)) for v in VARS}
+        p = p + Polynomial({Monomial(exps.items()): draw(st.integers(-1, 4))})
+    return p
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(mostly_nonneg_polys(), min_size=2 * m - 1, max_size=2 * m - 1))))
+@settings(max_examples=200, deadline=None)
+def test_level_scan_matches_memoized_scan(case):
+    m, seq = case
+    h = hankel_section(lambda n: seq[n], m)
+    for r_max in range(1, m + 1):
+        assert all_minors_nonneg(h, r_max) == memoized_minors_nonneg(h, r_max)

@@ -14,6 +14,7 @@ import pytest
 
 from wardcf import eulerian, matchings, trees, ward
 from wardcf.cli import run
+from wardcf.poly import Polynomial, var
 
 PACKAGE = {f"wardcf.{m}" for m in
            ("contfrac", "matchings", "paths", "trees", "eulerian", "ward", "hankel", "cli")}
@@ -22,6 +23,16 @@ PACKAGE = {f"wardcf.{m}" for m in
 def besides(*allowed):
     """Every wardcf module except ``allowed`` (poly is always allowed)."""
     return PACKAGE - {f"wardcf.{m}" for m in allowed}
+
+
+def compose_witness(n):
+    """The round trip of closed-form-ux at order n: the EGF of W_k(x,x,z,w)
+    composed with the EGF of its Lagrange inverse.  Both series are built
+    here, outside the hook, so the call checks Series.compose alone."""
+    ps = [p.substitute({ward.U: var("x")}) for p in ward.generalized_ward_cf(n)]
+    inverse = ward._egf([Polynomial.one()] + [-c for c in ward.invert_sequence(ps, n)])
+    forward = ward._egf(ps)
+    return lambda: forward.compose(inverse)
 
 
 # (oracle, call at n = 3, modules it must not enter, functions it must not
@@ -47,6 +58,8 @@ GUARDS = [
      set(), "multivariate_ward"),
     ("E2_reversed", lambda: eulerian.E2_reversed(3), besides("eulerian"),
      {"enumerate_stirling_perms"}, "E2_poly"),
+    ("closed-form-ux", compose_witness(3), PACKAGE,
+     {"compositional_inverse", "reciprocal"}, "compose"),
 ]
 
 
@@ -89,6 +102,7 @@ def add_one(original):
     ("cor2.3", matchings, "poly_18var"),
     ("cor2.3", matchings, "poly_12var"),
     ("ward-euler", eulerian, "count_Mprime"),
+    ("closed-form-ux", ward, "closed_form_u_eq_x"),
 ])
 def test_wrong_oracle_fails_its_suite(capsys, monkeypatch, suite, module, attr):
     monkeypatch.setattr(module, attr, add_one(getattr(module, attr)))

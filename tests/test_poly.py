@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wardcf.poly import Monomial, Polynomial, Series, VarId, parse_poly, var
+from wardcf.poly import Monomial, Polynomial, Series, VarId, _Packed, parse_poly, var
 
 x = var("x")
 y = var("y")
@@ -308,7 +308,56 @@ def test_coefficient_access():
         g.coefficient(-1)
 
 
-def test_deriv_t_and_shift():
+def test_shift():
     s = Series(3, [1, 2, 3, 4])
-    assert s.deriv_t() == Series(2, [2, 6, 12])
     assert s.shift() == Series(3, [0, 1, 2, 3])
+
+
+# -- variable names survive the text format ----------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["x²", "1x", "é", "", "'", "x_1", "x y", "x\n"])
+def test_varid_rejects_names_parse_poly_cannot_read(name):
+    with pytest.raises(ValueError):
+        VarId(name)
+
+
+@pytest.mark.parametrize("indices", [(1.5,), ("1",), (-1,), (1, 2, 3)])
+def test_varid_rejects_indices_that_cannot_round_trip(indices):
+    with pytest.raises(ValueError):
+        VarId("a", *indices)
+
+
+NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9']{0,3}", fullmatch=True)
+
+
+@st.composite
+def polys_over_any_names(draw):
+    p = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        exps = {}
+        for _ in range(draw(st.integers(0, 3))):
+            v = VarId(draw(NAMES), *draw(st.lists(st.integers(0, 12), max_size=2)))
+            exps[v] = exps.get(v, 0) + draw(st.integers(1, 3))
+        coeff = draw(st.fractions(max_denominator=4).filter(lambda c: c != 0))
+        p = p + Polynomial({Monomial(exps.items()): coeff})
+    return p
+
+
+@given(polys_over_any_names())
+@settings(max_examples=200, deadline=None)
+def test_parse_round_trip_over_every_name_shape(p):
+    assert parse_poly(str(p)) == p
+
+
+# -- packed keys --------------------------------------------------------------------------
+
+
+@given(polynomials(), polynomials(), polynomials(), st.sampled_from([1, -1]))
+@settings(max_examples=100, deadline=None)
+def test_packed_product_matches_polynomial_product(p, q, r, sign):
+    largest = max((e for s in (p, q, r) for m in s.terms for _, e in m.exps), default=0)
+    packer = _Packed(sorted(VARS), 2 * largest)
+    acc = packer.pack(r)
+    _Packed.add_product(acc, packer.pack(p), packer.pack(q), sign)
+    assert packer.unpack(acc) == r + sign * p * q
