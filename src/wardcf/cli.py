@@ -36,7 +36,7 @@ def _parse_var(text: str) -> VarId:
     p = parse_poly(text)
     if len(p.terms) != 1:
         raise ValueError(f"not a variable: {text!r}")
-    ((mono, coeff),) = p.terms.items()
+    ((mono, coeff),) = p.items()
     if coeff != 1 or mono.degree != 1:
         raise ValueError(f"not a variable: {text!r}")
     return mono.variables()[0]
@@ -60,6 +60,18 @@ def _parse_bindings(pairs: list[str]) -> dict[VarId, Polynomial]:
             raise ValueError(f"--set {item!r}: the value contains {T_VAR}, the series variable")
         out[v] = p
     return out
+
+
+def _substitute_all(
+    polys: list[Polynomial], bindings: dict[VarId, Polynomial], what: str
+) -> list[Polynomial]:
+    """Apply the --set bindings to every polynomial; a binding for a
+    variable none of them has is a usage error."""
+    present = set().union(*(p.variables() for p in polys))
+    for v in bindings:
+        if v not in present:
+            raise ValueError(f"--set {v}: {v} does not occur in {what}")
+    return [p.substitute(bindings) for p in polys]
 
 
 def _require_at_least(flag: str, value: int, least: int) -> None:
@@ -108,7 +120,7 @@ def _cmd_expand(args) -> int:
     seq = contfrac.named_family(args.family)
     series = contfrac.expand_T(seq, args.order)
     bindings = _parse_bindings(args.set or [])
-    coeffs = [series.coefficient(n).substitute(bindings) for n in range(args.order + 1)]
+    coeffs = _substitute_all(list(series.coeffs), bindings, f"the expansion to order {args.order}")
     print(", ".join(str(c) for c in coeffs))
     return 0
 
@@ -407,7 +419,9 @@ def _cmd_hankel(args) -> int:
 def _cmd_invert(args) -> int:
     _require_at_least("--order", args.order, 1)
     bindings = _parse_bindings(args.set or [])
-    sequence = [p.substitute(bindings) for p in ward.generalized_ward_cf(args.order)]
+    sequence = _substitute_all(
+        ward.generalized_ward_cf(args.order), bindings, f"W_0..W_{args.order}"
+    )
     values = ward.invert_sequence(sequence, args.order)
     for i, value in enumerate(values, start=1):
         print(f"x{i} = {value}")
@@ -464,7 +478,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"wardcf: {exc}", file=sys.stderr)
         return 2
 

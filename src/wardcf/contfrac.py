@@ -51,6 +51,10 @@ def _ladder(
     reduced order max(order - k, 0).
     """
     levels = order + 1 if depth is None else depth
+    # Shallow levels first: their variables occur in every term, and a
+    # variable's slot in a polynomial key follows its first use, so this
+    # keeps the keys short.
+    weights = [(level(k), fall(k + 1)) for k in range(levels)]
     f = Series.one(max(order - levels, 0))
     for k in range(levels - 1, -1, -1):
         target = max(order - k, 0)
@@ -58,8 +62,8 @@ def _ladder(
         tail = Series(target, ((Polynomial.zero(),) * power + f.coeffs)[: target + 1])
         body = (
             Series.one(target)
-            - Series.t(target).scale(level(k))
-            - tail.scale(fall(k + 1))
+            - Series.t(target).scale(weights[k][0])
+            - tail.scale(weights[k][1])
         )
         f = body.reciprocal()
     return f

@@ -6,14 +6,15 @@ every minor (every row subset against every column subset, not only
 contiguous ones) is a polynomial with nonnegative coefficients; this
 module checks all r x r minors with r <= r_max exactly.
 
-Determinants are exact.  The minor scan packs each monomial into a single
-integer key (``poly._Packed``) so that monomial products become integer
-additions, and goes level by level: the r x r minors are expanded along
-their first row into the (r-1) x (r-1) minors, which are then dropped.  A
-Hankel section is symmetric, so each level keeps only the pairs with rows
-<= cols.  An independent fraction-free (Bareiss) elimination with exact
-polynomial division is provided and cross-checked against cofactor
-expansion in the tests.
+Determinants are exact.  The minor scan re-packs each monomial into an
+integer key tighter than a polynomial's own (``poly._Packed``), so that
+monomial products are additions of short integers, and goes level by
+level: the r x r minors are expanded along their first row into the
+(r-1) x (r-1) minors, which are then dropped.  A Hankel section is
+symmetric, so each level keeps only the pairs with rows <= cols.  An
+independent fraction-free (Bareiss) elimination with exact polynomial
+division is provided and cross-checked against cofactor expansion in the
+tests.
 """
 
 from __future__ import annotations
@@ -96,9 +97,8 @@ def det_bareiss(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
 def _packed_section(h: HankelSection) -> tuple[_Packed, list[list[dict[int, Rat]]]]:
     entries = [p for row in h.entries for p in row]
     variables = sorted({v for p in entries for v in p.variables()})
-    largest = max((e for p in entries for mono in p.terms for _, e in mono.exps), default=0)
     # A minor multiplies at most m entries.
-    packer = _Packed(variables, largest * h.m)
+    packer = _Packed(variables, _Packed.largest_exponent(entries) * h.m)
     return packer, [[packer.pack(p) for p in row] for row in h.entries]
 
 

@@ -2,9 +2,22 @@
 
 Coefficients are arbitrary-precision rationals, stored as plain ``int``
 whenever the denominator is 1 and as ``fractions.Fraction`` otherwise.
-Polynomials are kept in canonical form (no zero coefficients, monomials
-compared in graded-lexicographic order), so structural equality is
-mathematical equality.
+Polynomials are kept in canonical form (no zero coefficients), so
+structural equality is mathematical equality.
+
+A polynomial's ``terms`` map packed integer keys to coefficients.  A
+private registry gives each variable, on its first use in a polynomial, a
+fixed 16-bit slot: 15 exponent bits and one guard bit above them.  A
+monomial's key holds each exponent in its variable's slot, so the key of a
+product is the sum of the keys.  Exponents are at most ``MAX_EXPONENT``;
+every product checks the guard bits once and raises ``OverflowError``
+rather than let an exponent carry into the next slot.  Slots follow the
+order of first use, which differs from process to process, so nothing
+visible depends on them: ``==`` and hashing compare keys within one
+process, and the canonical text orders monomials graded-lexicographically
+by VarId, an order computed only when printing, by sorts whose keys
+compare in C.  ``Monomial`` is the boundary type for building terms
+(``Polynomial({Monomial: c})``) and reading them (``items()``).
 
 Series are truncated at an explicit order; operations on mismatched orders
 raise rather than silently truncating.  The variable ``t`` is reserved for
@@ -14,19 +27,31 @@ the series direction and is rejected inside series coefficients.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from functools import reduce
+from itertools import compress
+from operator import getitem, or_
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Rat = Union[int, Fraction]
+
+_EXPONENT_BITS = 15
+_SLOT_BITS = _EXPONENT_BITS + 1
+MAX_EXPONENT = (1 << _EXPONENT_BITS) - 1
 
 
 def _norm_coeff(c: Rat) -> Rat:
     """Store exact rationals as int when the denominator is 1."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
+
+
+def _clean(terms: dict) -> dict:
+    """The nonzero terms of an accumulator, integral Fractions as int."""
+    return {k: c if type(c) is int else _norm_coeff(c) for k, c in terms.items() if c}
 
 
 def _accumulate(target: dict, terms: Mapping) -> None:
@@ -96,7 +121,12 @@ T_VAR = VarId("t")
 
 
 class Monomial:
-    """A power product, stored as a sorted tuple of (VarId, exponent > 0)."""
+    """A power product, stored as a sorted tuple of (VarId, exponent > 0).
+
+    The boundary type of the polynomial kernel: terms are built from and
+    read back as Monomials, and ``<`` (graded lex) is the reference for
+    the order of the canonical text.
+    """
 
     __slots__ = ("exps", "degree", "_hash")
 
@@ -109,14 +139,6 @@ class Monomial:
         self.exps = tuple(pairs)
         self.degree = sum(e for _, e in pairs)
         self._hash = hash(self.exps)
-
-    @classmethod
-    def _make(cls, exps: tuple, degree: int) -> "Monomial":
-        m = cls.__new__(cls)
-        m.exps = exps
-        m.degree = degree
-        m._hash = hash(exps)
-        return m
 
     def __hash__(self):
         return self._hash
@@ -153,32 +175,6 @@ class Monomial:
     def __le__(self, other: "Monomial"):
         return self == other or self < other
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        if not a:
-            return other
-        if not b:
-            return self
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            pa, pb = a[i], b[j]
-            va, vb = pa[0], pb[0]
-            if va is vb:
-                out.append((va, pa[1] + pb[1]))
-                i += 1
-                j += 1
-            elif va._key < vb._key:
-                out.append(pa)
-                i += 1
-            else:
-                out.append(pb)
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._make(tuple(out), self.degree + other.degree)
-
     def exponent(self, v: VarId) -> int:
         for w, e in self.exps:
             if w == v:
@@ -187,9 +183,6 @@ class Monomial:
 
     def variables(self) -> tuple[VarId, ...]:
         return tuple(v for v, _ in self.exps)
-
-    def is_one(self) -> bool:
-        return not self.exps
 
     def __str__(self):
         if not self.exps:
@@ -200,11 +193,139 @@ class Monomial:
         return f"Monomial({str(self)})"
 
 
-_ONE_MONOMIAL = Monomial()
+# -- packed keys ---------------------------------------------------------------------
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _slot_values(raw: bytes) -> array:
+    """The exponent in each slot of a key written as little-endian bytes."""
+    slots = array("H", raw)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return slots
+
+
+def _exponents(key: int, nbytes: int) -> array:
+    """The exponent in each of the first nbytes // 2 slots of key."""
+    return _slot_values(key.to_bytes(nbytes, "little"))
+
+
+def _nbytes(key: int) -> int:
+    """Bytes that hold every slot of key up to its highest nonzero one."""
+    return (key.bit_length() + _SLOT_BITS - 1) // _SLOT_BITS * 2
+
+
+class _SlotRegistry:
+    """The slot of every variable used in a polynomial so far.
+
+    Variables get slots in order of first use: slot i holds its variable's
+    exponent in bits 16i..16i+14 of a key, and bit 16i+15 is its guard.
+    Keys in a polynomial keep every guard bit clear, so the sum of two
+    keys sets a guard bit exactly when an exponent overflows.
+    """
+
+    def __init__(self):
+        self.units: dict[VarId, int] = {}
+        self.variables: list[VarId] = []
+        self.guards = 0
+
+    def unit(self, v: VarId) -> int:
+        """The key of the monomial v; gives v a slot on first use."""
+        u = self.units.get(v)
+        if u is None:
+            u = 1 << (_SLOT_BITS * len(self.variables))
+            self.units[v] = u
+            self.variables.append(v)
+            self.guards |= u << _EXPONENT_BITS
+        return u
+
+    def key(self, m: Monomial) -> int:
+        if not isinstance(m, Monomial):
+            raise TypeError(f"a term is keyed by a Monomial, not {type(m).__name__}")
+        key = 0
+        for v, e in m.exps:
+            if e > MAX_EXPONENT:
+                raise OverflowError(f"exponent {e} of {v} exceeds {MAX_EXPONENT}")
+            key += e * self.unit(v)
+        return key
+
+    def monomial(self, key: int) -> Monomial:
+        exps = _exponents(key, _nbytes(key))
+        return Monomial((self.variables[i], e) for i, e in enumerate(exps) if e)
+
+    def check(self, terms: dict) -> None:
+        """Raise OverflowError if a key of the product terms set a guard bit."""
+        if reduce(or_, terms, 0) & self.guards:
+            raise OverflowError(f"a product has an exponent above {MAX_EXPONENT}")
+
+
+_SLOTS = _SlotRegistry()
+
+
+class _Powers(dict):
+    """The text of v^e, by e, for one variable v."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = self.name if e == 1 else f"{self.name}^{e}"
+        return text
+
+
+# Keys re-laid out per block when printing: bounds the copies' memory.
+_PRINT_BLOCK = 2048
+
+
+def _print_order(keys: list[int]) -> Iterator[tuple[int, str]]:
+    """Each key with its monomial's text (empty for the constant), in
+    descending graded-lex order of the monomials.
+
+    The exponents of the variables that occur are copied, a block of keys
+    at a time and one slot-wide column at a time, into one row per key:
+    the variables in VarId order, two big-endian bytes each.  Rows then
+    compare in C as lex compares the monomials, and a stable sort by
+    degree makes the order graded.
+    """
+    present = reduce(or_, keys, 0)
+    if not present:
+        yield 0, ""
+        return
+    nbytes = _nbytes(present)
+    per_key = nbytes // 2
+    slots = [i for i, e in enumerate(_exponents(present, nbytes)) if e]
+    slots.sort(key=_SLOTS.variables.__getitem__)
+    width = 2 * len(slots)
+    rows: list = []
+    degrees: list[int] = []
+    for start in range(0, len(keys), _PRINT_BLOCK):
+        raw = b"".join([k.to_bytes(nbytes, "little") for k in keys[start : start + _PRINT_BLOCK]])
+        exps = _slot_values(raw)
+        degrees += [sum(exps[i : i + per_key]) for i in range(0, len(exps), per_key)]
+        block = bytearray(len(raw) // nbytes * width)
+        for j, s in enumerate(slots):
+            block[2 * j :: width] = raw[2 * s + 1 :: nbytes]
+            block[2 * j + 1 :: width] = raw[2 * s :: nbytes]
+        block = bytes(block)
+        rows += [block[i : i + width] for i in range(0, len(block), width)]
+    order = sorted(range(len(keys)), key=rows.__getitem__, reverse=True)
+    order.sort(key=degrees.__getitem__, reverse=True)
+    powers = [_Powers(str(_SLOTS.variables[s])) for s in slots]
+    for i in order:
+        exps = array("H", rows[i])
+        rows[i] = None  # each row is read once; free it as the text grows
+        if not _BIG_ENDIAN:
+            exps.byteswap()
+        yield keys[i], "*".join(map(getitem, compress(powers, exps), compress(exps, exps)))
 
 
 class Polynomial:
-    """Sparse exact polynomial: a map from Monomial to nonzero rational.
+    """Sparse exact polynomial: a map from packed monomial key to nonzero
+    rational (see the module docstring).
 
     Canonical form makes ``==`` structural and mathematical at once.
     Instances are immutable by convention; all operations return new values.
@@ -213,12 +334,12 @@ class Polynomial:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Rat] | None = None):
-        out: dict[Monomial, Rat] = {}
+        out: dict[int, Rat] = {}
         if terms:
             for m, c in terms.items():
                 c = _norm_coeff(c)
                 if c != 0:
-                    out[m] = c
+                    out[_SLOTS.key(m)] = c
         self.terms = out
         self._hash = None
 
@@ -226,11 +347,12 @@ class Polynomial:
 
     @classmethod
     def const(cls, c: Rat) -> "Polynomial":
-        return cls({_ONE_MONOMIAL: Fraction(c)} if c else {})
+        c = c if type(c) is int else _norm_coeff(Fraction(c))
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def variable(cls, v: VarId) -> "Polynomial":
-        return cls({Monomial(((v, 1),)): 1})
+        return cls._raw({_SLOTS.unit(v): 1})
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -260,7 +382,7 @@ class Polynomial:
             if s == 0:
                 out.pop(m, None)
             else:
-                out[m] = _norm_coeff(s)
+                out[m] = s if type(s) is int else _norm_coeff(s)
         return Polynomial._raw(out)
 
     __radd__ = __add__
@@ -284,16 +406,15 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, Rat] = {}
+        out: dict[int, Rat] = {}
         get = out.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 * m2
-                prev = get(m)
-                out[m] = c1 * c2 if prev is None else prev + c1 * c2
-        return Polynomial._raw(
-            {m: _norm_coeff(c) for m, c in out.items() if c != 0}
-        )
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                prev = get(k)
+                out[k] = c1 * c2 if prev is None else prev + c1 * c2
+        _SLOTS.check(out)
+        return Polynomial._raw(_clean(out))
 
     __rmul__ = __mul__
 
@@ -310,7 +431,7 @@ class Polynomial:
         return result
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Rat]) -> "Polynomial":
+    def _raw(cls, terms: dict[int, Rat]) -> "Polynomial":
         p = cls.__new__(cls)
         p.terms = terms
         p._hash = None
@@ -319,16 +440,16 @@ class Polynomial:
     @classmethod
     def sum(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
         """Sum many polynomials with a single accumulator dict."""
-        out: dict[Monomial, Rat] = {}
+        out: dict[int, Rat] = {}
         for p in polys:
             _accumulate(out, p.terms)
-        return cls._raw({m: _norm_coeff(c) for m, c in out.items() if c != 0})
+        return cls._raw(_clean(out))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.const(other)
         return self.terms == other.terms
 
     def __hash__(self):
@@ -351,32 +472,34 @@ class Polynomial:
     def coefficientwise_nonneg(self) -> bool:
         return all(c >= 0 for c in self.terms.values())
 
+    def items(self) -> list[tuple[Monomial, Rat]]:
+        """The terms as (Monomial, coefficient) pairs, in no set order."""
+        return [(_SLOTS.monomial(k), c) for k, c in self.terms.items()]
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m.degree for m in self.terms)
+        return max((sum(_exponents(k, _nbytes(k))) for k in self.terms), default=-1)
 
     def variables(self) -> set[VarId]:
-        out: set[VarId] = set()
-        for m in self.terms:
-            out.update(m.variables())
-        return out
+        present = reduce(or_, self.terms, 0)
+        exps = _exponents(present, _nbytes(present))
+        return {_SLOTS.variables[i] for i, e in enumerate(exps) if e}
 
     def contains_var(self, v: VarId) -> bool:
-        return any(m.exponent(v) for m in self.terms)
+        unit = _SLOTS.units.get(v)
+        return unit is not None and bool(reduce(or_, self.terms, 0) & unit * MAX_EXPONENT)
 
     def coefficient(self, m: Monomial) -> Rat:
-        return self.terms.get(m, 0)
+        return self.terms.get(_SLOTS.key(m), 0)
 
     def coefficient_of(self, v: VarId, k: int) -> "Polynomial":
         """The polynomial coefficient of v**k, with v stripped out."""
-        out: dict[Monomial, Rat] = {}
-        for m, c in self.terms.items():
-            if m.exponent(v) == k:
-                rest = Monomial((w, e) for w, e in m.exps if w != v)
-                out[rest] = out.get(rest, 0) + c
-        return Polynomial(out)
+        unit = _SLOTS.unit(v)
+        shift = unit.bit_length() - 1
+        strip = k * unit
+        return Polynomial._raw(
+            {key - strip: c for key, c in self.terms.items() if (key >> shift) & MAX_EXPONENT == k}
+        )
 
     # -- algebra helpers -----------------------------------------------------
 
@@ -395,116 +518,110 @@ class Polynomial:
                 powers[key] = got
             return got
 
+        # The bound variables that have a slot, in VarId order: a term's
+        # factors are multiplied in this order.
+        bound = sorted(
+            (v, unit.bit_length() - 1, unit)
+            for v, unit in ((v, _SLOTS.units.get(v)) for v in images)
+            if unit is not None
+        )
         pieces = []
-        for m, c in self.terms.items():
+        for key, c in self.terms.items():
             factor = Polynomial.const(c)
-            passthrough: list[tuple[VarId, int]] = []
-            for v, e in m.exps:
-                if v in images:
+            rest = key
+            for v, shift, unit in bound:
+                e = (key >> shift) & MAX_EXPONENT
+                if e:
                     factor = factor * power(v, e)
-                else:
-                    passthrough.append((v, e))
-            if passthrough:
-                factor = factor * Polynomial._raw({Monomial(passthrough): 1})
+                    rest -= e * unit
+            if rest:
+                factor = factor * Polynomial._raw({rest: 1})
             pieces.append(factor)
         return Polynomial.sum(pieces)
 
+    def _strip(self, v: VarId) -> tuple[int, list[tuple[int, int, Rat]]]:
+        """v's unit and each term as (key, exponent of v, coefficient)."""
+        unit = _SLOTS.unit(v)
+        shift = unit.bit_length() - 1
+        return unit, [(k, (k >> shift) & MAX_EXPONENT, c) for k, c in self.terms.items()]
+
     def deriv(self, v: VarId) -> "Polynomial":
         """Exact partial derivative with respect to v."""
-        out: dict[Monomial, Rat] = {}
-        for m, c in self.terms.items():
-            e = m.exponent(v)
-            if e == 0:
-                continue
-            rest = Monomial(
-                tuple((w, k) for w, k in m.exps if w != v)
-                + ((() if e == 1 else ((v, e - 1),)))
-            )
-            out[rest] = out.get(rest, 0) + c * e
-        return Polynomial(out)
+        unit, terms = self._strip(v)
+        return Polynomial._raw(_clean({k - unit: c * e for k, e, c in terms if e}))
 
     def div_var(self, v: VarId) -> "Polynomial":
         """Exact division by the variable v; raises if not divisible."""
-        out: dict[Monomial, Rat] = {}
-        for m, c in self.terms.items():
-            e = m.exponent(v)
-            if e == 0:
-                raise ValueError(f"not divisible by {v}")
-            rest = Monomial(
-                tuple((w, k) for w, k in m.exps if w != v)
-                + ((() if e == 1 else ((v, e - 1),)))
-            )
-            out[rest] = c
-        return Polynomial(out)
+        unit, terms = self._strip(v)
+        if any(e == 0 for _, e, _ in terms):
+            raise ValueError(f"not divisible by {v}")
+        return Polynomial._raw({k - unit: c for k, _, c in terms})
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
         """Exact polynomial division; raises ValueError on nonzero remainder.
 
-        Long division by graded-lex leading terms.  Only valid (and only
-        terminating with zero remainder) when the divisor divides self.
+        Long division by leading terms in the order of the keys, which is
+        a lexicographic monomial order (an exact quotient does not depend
+        on the order).  Only valid (and only terminating with zero
+        remainder) when the divisor divides self.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        quotient: dict[Monomial, Rat] = {}
+        quotient: dict[int, Rat] = {}
         rem = dict(self.terms)
-        lead_m = max(divisor.terms)
-        lead_c = divisor.terms[lead_m]
-        lead_exps = dict(lead_m.exps)
+        lead_k = max(divisor.terms)
+        lead_c = Fraction(divisor.terms[lead_k])
+        guards = _SLOTS.guards
         while rem:
-            m = max(rem)
-            c = rem[m]
-            mexps = dict(m.exps)
-            q_exps = {}
-            for v, e in lead_exps.items():
-                d = mexps.get(v, 0) - e
-                if d < 0:
-                    raise ValueError("not exactly divisible")
-                if d:
-                    q_exps[v] = d
-            for v, e in mexps.items():
-                if v not in lead_exps:
-                    q_exps[v] = e
-            qm = Monomial(q_exps.items())
-            qc = _norm_coeff(Fraction(c) / Fraction(lead_c))
-            quotient[qm] = quotient.get(qm, 0) + qc
-            for dm, dc in divisor.terms.items():
-                key = dm * qm
+            k = max(rem)
+            # Each slot of k + guards - lead_k keeps its guard bit exactly
+            # when lead_k's exponent there is at most k's.
+            shifted = k + guards - lead_k
+            if shifted & guards != guards:
+                raise ValueError("not exactly divisible")
+            qk = shifted - guards
+            qc = _norm_coeff(Fraction(rem[k]) / lead_c)
+            quotient[qk] = qc
+            for dk, dc in divisor.terms.items():
+                key = dk + qk
+                if key & guards:
+                    raise OverflowError(f"a product has an exponent above {MAX_EXPONENT}")
                 s = rem.get(key, 0) - dc * qc
                 if s == 0:
                     rem.pop(key, None)
                 else:
                     rem[key] = _norm_coeff(s)
-        return Polynomial(quotient)
+        return Polynomial._raw(quotient)
 
     def reversed_in(self, v: VarId, n: int) -> "Polynomial":
         """Degree-n reversal in v: sum c_k v^k  ->  sum c_k v^(n-k)."""
-        out: dict[Monomial, Rat] = {}
-        for m, c in self.terms.items():
-            e = m.exponent(v)
+        unit, terms = self._strip(v)
+        out: dict[int, Rat] = {}
+        for k, e, c in terms:
             if e > n:
                 raise ValueError("degree exceeds reversal bound")
-            rest = tuple((w, k) for w, k in m.exps if w != v)
-            if n - e:
-                rest = rest + ((v, n - e),)
-            out[Monomial(rest)] = c
-        return Polynomial(out)
+            if n - e > MAX_EXPONENT:
+                raise OverflowError(f"exponent {n - e} of {v} exceeds {MAX_EXPONENT}")
+            out[k + (n - 2 * e) * unit] = c
+        return Polynomial._raw(out)
 
     # -- text format ---------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
+        for k, mono in _print_order(list(terms)):
+            c = terms[k]
             neg = c < 0
             a = -c if neg else c
-            if m.is_one():
+            if not k:
                 body = _coeff_str(a)
             elif a == 1:
-                body = str(m)
+                body = mono
             else:
-                body = f"{_coeff_str(a)}*{m}"
+                body = f"{_coeff_str(a)}*{mono}"
             if not parts:
                 parts.append(f"-{body}" if neg else body)
             else:
@@ -517,39 +634,59 @@ class Polynomial:
 
 class _Packed:
     """Polynomials over a fixed variable list as dicts from packed integer
-    keys to nonzero coefficients.
+    keys to nonzero coefficients, in a tighter packing than
+    ``Polynomial.terms``.
 
     A monomial's key holds its exponents as the digits of one integer, in
-    a power-of-two base above max_exponent, so the key of a product is the
-    sum of the keys.  Every exponent that arises, in the factors and in
-    the products, must be at most max_exponent, or a digit carries into
-    the next variable's.
+    a power-of-two base just above max_exponent and in the order of the
+    list, so the key of a product is the sum of the keys.  Every exponent
+    that arises, in the factors and in the products, must be at most
+    max_exponent, or a digit carries into the next variable's.  The Hankel
+    scan and the decorated-matching transfer run on these keys: they are
+    usually a single CPython digit, where 16-bit slots over the same
+    variables span several, and the scan's dict merges run faster on them.
+    ``pack`` and ``unpack`` convert from and to ``Polynomial`` keys.
     """
 
     def __init__(self, variables: list[VarId], max_exponent: int):
         self.base = 1 << max(max_exponent.bit_length(), 1)
         self._keys = {v: self.base**i for i, v in enumerate(variables)}
+        self._units = [_SLOTS.unit(v) for v in variables]
 
     def key(self, v: VarId) -> int:
         """The key of the monomial v."""
         return self._keys[v]
 
     def pack(self, p: Polynomial) -> dict[int, Rat]:
+        slots = [(u.bit_length() - 1, u, k) for u, k in zip(self._units, self._keys.values())]
         out: dict[int, Rat] = {}
-        for mono, c in p.terms.items():
-            out[sum(e * self._keys[v] for v, e in mono.exps)] = c
+        for key, c in p.terms.items():
+            packed, rest = 0, key
+            for shift, unit, packed_unit in slots:
+                e = (key >> shift) & MAX_EXPONENT
+                packed += e * packed_unit
+                rest -= e * unit
+            if rest:
+                raise ValueError("the polynomial has a variable outside the packing")
+            out[packed] = c
         return out
 
     def unpack(self, d: dict[int, Rat]) -> Polynomial:
-        terms = {}
-        for key, c in d.items():
-            exps = []
-            for v in self._keys:
-                key, e = divmod(key, self.base)
-                if e:
-                    exps.append((v, e))
-            terms[Monomial(exps)] = c
-        return Polynomial(terms)
+        terms: dict[int, Rat] = {}
+        for packed, c in d.items():
+            key = 0
+            for unit in self._units:
+                packed, e = divmod(packed, self.base)
+                if e > MAX_EXPONENT:
+                    raise OverflowError(f"exponent {e} exceeds {MAX_EXPONENT}")
+                key += e * unit
+            terms[key] = c
+        return Polynomial._raw(_clean(terms))
+
+    @staticmethod
+    def largest_exponent(polys: Iterable[Polynomial]) -> int:
+        """The largest exponent of any variable in any of polys."""
+        return max((max(_exponents(k, _nbytes(k))) for p in polys for k in p.terms if k), default=0)
 
     @staticmethod
     def add_product(acc: dict[int, Rat], a: dict[int, Rat], b: dict[int, Rat], sign: int) -> None:
@@ -567,7 +704,7 @@ class _Packed:
 
 
 def _coeff_str(c: Rat) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
+    if type(c) is Fraction and c.denominator != 1:
         return f"{c.numerator}/{c.denominator}"
     return str(int(c))
 
@@ -607,7 +744,7 @@ def parse_poly(text: str) -> Polynomial:
     ]
     if any(not term for _, term in terms):
         raise ValueError(f"empty term in {text!r}")
-    total = Polynomial.zero()
+    out: dict[int, Rat] = {}
     for sgn, term in terms:
         coeff: Rat = sgn
         exps: dict[VarId, int] = {}
@@ -630,8 +767,13 @@ def parse_poly(text: str) -> Polynomial:
             v = VarId(m.group("name"), *idx)
             e = int(m.group("exp")) if m.group("exp") else 1
             exps[v] = exps.get(v, 0) + e
-        total = total + Polynomial._raw({Monomial(exps.items()): 1}) * coeff
-    return total
+        key = 0
+        for v, e in exps.items():
+            if e > MAX_EXPONENT:
+                raise ValueError(f"exponent {e} of {v} exceeds the limit {MAX_EXPONENT}")
+            key += e * _SLOTS.unit(v)
+        out[key] = out.get(key, 0) + coeff
+    return Polynomial._raw(_clean(out))
 
 
 class Series:
@@ -647,9 +789,8 @@ class Series:
         cs = [Polynomial._coerce(c) for c in coeffs]
         if len(cs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(cs)}")
-        for c in cs:
-            if c.contains_var(T_VAR):
-                raise ValueError("series coefficient contains the variable t")
+        if T_VAR in _SLOTS.units and any(c.contains_var(T_VAR) for c in cs):
+            raise ValueError("series coefficient contains the variable t")
         self.order = order
         self.coeffs = tuple(cs)
 
@@ -713,11 +854,7 @@ class Series:
                 b = other.coeffs[j]
                 if not b.is_zero():
                     _accumulate(acc[i + j], (a * b).terms)
-        out = [
-            Polynomial._raw({m: _norm_coeff(c) for m, c in d.items() if c != 0})
-            for d in acc
-        ]
-        return Series(n, out)
+        return Series(n, [Polynomial._raw(_clean(d)) for d in acc])
 
     def scale(self, p: Polynomial | Rat) -> "Series":
         p = Polynomial._coerce(p)
@@ -741,7 +878,7 @@ class Series:
                 if not self.coeffs[j].is_zero():
                     _accumulate(acc, (self.coeffs[j] * out[n - j]).terms)
             out.append(
-                Polynomial._raw({m: _norm_coeff(-c) for m, c in acc.items() if c != 0})
+                Polynomial._raw({k: -c if type(c) is int else _norm_coeff(-c) for k, c in acc.items() if c})
             )
         return Series(self.order, out)
 

@@ -288,7 +288,7 @@ def _explicit_inverse_series(order: int) -> Series:
         body = falling * z**m * Fraction(1, factorial(m))
         # substitute s -> w/z monomial by monomial
         replaced = Polynomial.zero()
-        for mono, c in body.terms.items():
+        for mono, c in body.items():
             a = mono.exponent(s_var)
             rest = Polynomial({mono: c})
             for _ in range(a):

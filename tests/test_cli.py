@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +245,35 @@ def test_set_names_one_variable_once(capsys, sets, message):
     assert message in usage_error(capsys, "expand", "--family", "ward", "--order", "2", *sets)
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--family", "ward", "--order", "2", "--set", "q=2"),
+    ("expand", "--family", "generalized-ward", "--order", "3", "--set", "w=1", "--set", "y=1"),
+    ("invert", "--order", "2", "--set", "q=2"),
+    ("invert", "--order", "1", "--set", "u=x"),
+])
+def test_set_on_a_variable_the_output_lacks_is_usage_error(capsys, argv):
+    name = argv[-1].split("=")[0]
+    assert f"{name} does not occur" in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--family", "generalized-ward", "--order", "12", "--set", "w=2/3"),
+    ("invert", "--order", "6", "--set", "z=5/7"),
+    ("invert", "--order", "8", "--set", "u=x"),
+])
+def test_set_bindings_of_the_benchmark_jobs_are_accepted(capsys, argv):
+    code, out = invoke(capsys, *argv)
+    assert code == 0 and out
+
+
+def test_exponent_limit_is_usage_error(capsys):
+    assert "exceeds the limit 32767" in usage_error(
+        capsys, "expand", "--family", "ward", "--order", "2", "--set", "x=y^40000")
+    # within the limit as parsed, above it once squared
+    assert "exponent above 32767" in usage_error(
+        capsys, "expand", "--family", "ward", "--order", "2", "--set", "x=y^20000")
+
+
 def test_size_0_is_accepted(capsys, monkeypatch):
     assert invoke(capsys, "expand", "--family", "ward", "--order", "0") == (0, "1\n")
     assert invoke(capsys, "triangle", "--family", "ward", "--rows", "0") == (0, "1\n")
@@ -265,3 +295,20 @@ def test_deterministic_output(capsys):
     first = invoke(capsys, "expand", "--family", "master-T", "--order", "3")
     second = invoke(capsys, "expand", "--family", "master-T", "--order", "3")
     assert first == second
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("expand", "--family", "master-T", "--order", "4"), "expand_master-T_order4.txt"),
+    (("expand", "--family", "generalized-ward", "--order", "8", "--set", "w=2/3"),
+     "expand_generalized-ward_order8_w2-3.txt"),
+    (("invert", "--order", "5"), "invert_order5.txt"),
+])
+def test_output_matches_golden_file(capsys, argv, golden):
+    # The files hold the output of the Monomial-keyed kernel: the canonical
+    # text must not drift with the packing or the print order.
+    code, out = invoke(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (DATA / golden).read_bytes()

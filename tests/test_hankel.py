@@ -112,13 +112,17 @@ def test_bareiss_agrees_with_cofactor(matrix):
 
 
 def test_bareiss_on_hankel_matches_minor_scan():
-    # the full m x m minor from the scan equals the Bareiss determinant
-    for seq in (ward_sequence, e2_reversed_sequence):
-        h = hankel_section(seq, 3)
-        full = det_bareiss([list(r) for r in h.entries])
-        assert full == det_cofactor([list(r) for r in h.entries])
-        ok, _ = all_minors_nonneg(h, 3)
-        assert ok == full.coefficientwise_nonneg() or ok  # scan covers more minors
+    # Both determinants equal the full m x m minor of the reference scan,
+    # and the level scan reaches the reference scan's verdict.
+    for seq in (ward_sequence, e2_reversed_sequence, generalized_ward_sequence):
+        for m in (3, 4):
+            h = hankel_section(seq, m)
+            matrix = [list(r) for r in h.entries]
+            full = memoized_minor(h)(tuple(range(m)), tuple(range(m)))
+            assert not full.is_zero()
+            assert det_bareiss(matrix) == full, (seq.__name__, m)
+            assert det_cofactor(matrix) == full, (seq.__name__, m)
+            assert all_minors_nonneg(h, m) == memoized_minors_nonneg(h, m), (seq.__name__, m)
 
 
 def test_bareiss_zero_column():
@@ -132,11 +136,10 @@ def test_bareiss_zero_column():
 # -- the level scan against the memoized recursive scan ---------------------------------
 
 
-def memoized_minors_nonneg(h, r_max):
-    """The scan before the level-by-level rewrite, on Polynomials: every
-    minor by a memoized first-row expansion, looking up the mirrored pair
-    (cols, rows) of a symmetric section, over all pairs in the order r,
-    rows, cols."""
+def memoized_minor(h):
+    """The minor (rows, cols) of a symmetric section by a memoized
+    first-row expansion on Polynomials, looking up the mirrored pair
+    (cols, rows) too."""
     cache = {}
 
     def minor(rows, cols):
@@ -151,6 +154,13 @@ def memoized_minors_nonneg(h, r_max):
             cache[rows, cols] = got
         return got
 
+    return minor
+
+
+def memoized_minors_nonneg(h, r_max):
+    """The scan before the level-by-level rewrite: every minor by
+    ``memoized_minor``, over all pairs in the order r, rows, cols."""
+    minor = memoized_minor(h)
     for r in range(1, r_max + 1):
         subsets = list(combinations(range(h.m), r))
         for rows in subsets:

@@ -1,10 +1,22 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wardcf.poly import Monomial, Polynomial, Series, VarId, _Packed, parse_poly, var
+from wardcf.poly import (
+    MAX_EXPONENT,
+    Monomial,
+    Polynomial,
+    Series,
+    VarId,
+    _Packed,
+    parse_poly,
+    var,
+)
 
 x = var("x")
 y = var("y")
@@ -356,8 +368,114 @@ def test_parse_round_trip_over_every_name_shape(p):
 @given(polynomials(), polynomials(), polynomials(), st.sampled_from([1, -1]))
 @settings(max_examples=100, deadline=None)
 def test_packed_product_matches_polynomial_product(p, q, r, sign):
-    largest = max((e for s in (p, q, r) for m in s.terms for _, e in m.exps), default=0)
+    largest = _Packed.largest_exponent((p, q, r))
     packer = _Packed(sorted(VARS), 2 * largest)
     acc = packer.pack(r)
     _Packed.add_product(acc, packer.pack(p), packer.pack(q), sign)
     assert packer.unpack(acc) == r + sign * p * q
+
+
+# -- packed Polynomial keys: exponent limit, print order, slot order ----------------------
+
+
+def test_exponent_limit_in_products():
+    top = x**MAX_EXPONENT
+    assert str(top) == f"x^{MAX_EXPONENT}"
+    assert x ** (MAX_EXPONENT - 1) * x == top
+    assert (x ** (MAX_EXPONENT // 2)) ** 2 * x == top
+    with pytest.raises(OverflowError):
+        top * x
+    with pytest.raises(OverflowError):
+        top**2
+    with pytest.raises(OverflowError):
+        (y + top) * (top - z)
+    # the overflow of one variable's slot never reaches its neighbour's
+    with pytest.raises(OverflowError):
+        (top * y) * (x * y)
+
+
+def test_exponent_limit_at_the_boundary():
+    assert parse_poly(f"x^{MAX_EXPONENT}") == x**MAX_EXPONENT
+    with pytest.raises(ValueError, match=f"limit {MAX_EXPONENT}"):
+        parse_poly(f"x^{MAX_EXPONENT + 1}")
+    with pytest.raises(ValueError, match=f"limit {MAX_EXPONENT}"):
+        parse_poly(f"y*x^{MAX_EXPONENT}*x")
+    with pytest.raises(OverflowError):
+        Polynomial({Monomial(((VarId("x"), MAX_EXPONENT + 1),)): 1})
+    with pytest.raises(OverflowError):
+        x.reversed_in(VarId("x"), MAX_EXPONENT + 2)
+    assert (x**MAX_EXPONENT).deriv(VarId("x")) == MAX_EXPONENT * x ** (MAX_EXPONENT - 1)
+
+
+def test_items_and_coefficient_use_monomials():
+    p = 3 * x**2 * y - Fraction(1, 2) * z + 4
+    mono = Monomial(((VarId("x"), 2), (VarId("y"), 1)))
+    assert sorted(p.items(), key=lambda item: str(item[0])) == [
+        (Monomial(), 4), (mono, 3), (Monomial(((VarId("z"), 1),)), Fraction(-1, 2))]
+    assert Polynomial(dict(p.items())) == p
+    with pytest.raises(TypeError):
+        Polynomial({1: 2})
+    assert p.coefficient(mono) == 3
+    assert p.coefficient(Monomial(((VarId("q", 5), 1),))) == 0
+    assert p.degree() == 3 and Polynomial.zero().degree() == -1
+    assert p.variables() == {VarId("x"), VarId("y"), VarId("z")}
+
+
+EXPONENTS = st.one_of(st.integers(1, 3), st.integers(1, MAX_EXPONENT))
+
+
+@st.composite
+def monomial_lists(draw):
+    names = draw(st.lists(st.from_regex(r"[a-e][a-e']?", fullmatch=True), min_size=1, max_size=6))
+    variables = [VarId(n, *draw(st.lists(st.integers(0, 3), max_size=2))) for n in names]
+    monos = draw(st.lists(
+        st.dictionaries(st.sampled_from(variables), EXPONENTS, max_size=4).map(
+            lambda d: Monomial(d.items())),
+        min_size=1, max_size=12, unique=True))
+    return monos
+
+
+@given(monomial_lists())
+@settings(max_examples=150, deadline=None)
+def test_print_order_is_the_monomial_order(monos):
+    # Monomial.__lt__ is the reference for the order of the canonical text.
+    p = Polynomial({m: 1 for m in monos})
+    assert str(p) == " + ".join(str(m) for m in sorted(monos, reverse=True))
+    assert parse_poly(str(p)) == p
+
+
+SLOT_ORDER_SCRIPT = """
+import sys
+from wardcf.poly import Polynomial, VarId, parse_poly, var
+for name, *idx in {order!r}:
+    Polynomial.variable(VarId(name, *idx))
+x, y, z, a, b = var("x"), var("y"), var("z"), var("a", 1), var("b", 2, 1)
+built = [
+    (x + 2 * y - z**3) ** 3 * (a - b),
+    (a * b - x) * (y**2 + z) - 5 * x * y**300,
+    parse_poly("1/2*b[2,1]^3*z - a[1]*x^2 + 7"),
+]
+texts = [str(p) for p in built]
+again = [parse_poly(t) for t in texts]
+assert again == built, "parse_poly(str(p)) != p"
+assert built[1] == parse_poly(texts[1]) + 0 and built[1] != built[0]
+assert str(built[0] * built[2]) == str(built[2] * built[0])
+print("\\n".join(texts + [str(built[0] * built[2])]))
+"""
+
+
+def test_slot_order_never_leaks():
+    # Fresh interpreters, so that the five variables take their slots in
+    # two opposite orders.
+    src = Path(__file__).resolve().parent.parent / "src"
+    orders = [[("x",), ("y",), ("z",), ("a", 1), ("b", 2, 1)]]
+    orders.append(orders[0][::-1])
+    outputs = []
+    for order in orders:
+        done = subprocess.run(
+            [sys.executable, "-c", SLOT_ORDER_SCRIPT.format(order=order)],
+            cwd=src, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0].startswith("-a[1]*z^9 + b[2,1]*z^9 + 3*a[1]*x*z^6 + ")
