@@ -9,8 +9,9 @@ S-fractions are the delta = 0 case; J-fractions carry gamma (0-indexed)
 level weights and beta (1-indexed) weights on t^2.  All three are expanded
 by one bottom-up ladder of series reciprocals with finite depth (T: level
 delta_{k+1}, fall alpha on t; J: level gamma_k, fall beta on t^2; S: a T
-case): every level contributes at least one power of t, so depth order+1
-determines the series exactly modulo t^(order+1).
+case): every level contributes at least one power of t, so the level
+f_order enters f_0 only through its constant term 1, at t^order, and any
+depth >= order determines the series exactly modulo t^(order+1).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _ladder(
     only influences coefficients of t^k and above, so it is computed at the
     reduced order max(order - k, 0).
     """
-    levels = order + 1 if depth is None else depth
+    levels = order if depth is None else depth
     # Shallow levels first: their variables occur in every term, and a
     # variable's slot in a polynomial key follows its first use, so this
     # keeps the keys short.
@@ -72,8 +73,8 @@ def _ladder(
 def expand_T(seq: TCoeffs, order: int, depth: int | None = None) -> Series:
     """Expand a T-fraction to a Series of the given truncation order.
 
-    depth overrides the number of levels (default order+1); any depth
-    >= order+1 yields the same truncated series.
+    depth overrides the number of levels (default order); any depth
+    >= order yields the same truncated series.
     """
     return _ladder(lambda k: seq.delta(k + 1), seq.alpha, 1, order, depth)
 

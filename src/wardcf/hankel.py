@@ -6,15 +6,16 @@ every minor (every row subset against every column subset, not only
 contiguous ones) is a polynomial with nonnegative coefficients; this
 module checks all r x r minors with r <= r_max exactly.
 
-Determinants are exact.  The minor scan re-packs each monomial into an
-integer key tighter than a polynomial's own (``poly._Packed``), so that
-monomial products are additions of short integers, and goes level by
-level: the r x r minors are expanded along their first row into the
-(r-1) x (r-1) minors, which are then dropped.  A Hankel section is
-symmetric, so each level keeps only the pairs with rows <= cols.  An
-independent fraction-free (Bareiss) elimination with exact polynomial
-division is provided and cross-checked against cofactor expansion in the
-tests.
+Determinants are exact.  The minor scan reads the section's terms as
+Monomials and re-packs each into an integer key of its own, tighter than a
+polynomial's (``_packed_section``), so that monomial products are additions
+of short integers; an offending minor comes back as a Polynomial built from
+Monomials.  The scan goes level by level: the r x r minors are expanded
+along their first row into the (r-1) x (r-1) minors, which are then
+dropped.  A Hankel section is symmetric, so each level keeps only the
+pairs with rows <= cols.  An independent fraction-free (Bareiss)
+elimination with exact polynomial division is provided and cross-checked
+against cofactor expansion in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .poly import Polynomial, Rat, _Packed
+from .poly import Monomial, Polynomial, Rat, VarId
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,57 @@ def det_bareiss(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
 # -- the all-minors scan on packed keys -------------------------------------------------
 
 
-def _packed_section(h: HankelSection) -> tuple[_Packed, list[list[dict[int, Rat]]]]:
-    entries = [p for row in h.entries for p in row]
-    variables = sorted({v for p in entries for v in p.variables()})
+def _pack(items: list[tuple[Monomial, Rat]], variables: list[VarId], base: int) -> dict[int, Rat]:
+    """Terms as a map from packed keys to coefficients."""
+    place = {v: base**i for i, v in enumerate(variables)}
+    return {sum(e * place[v] for v, e in m.exps): c for m, c in items}
+
+
+def _unpack(terms: dict[int, Rat], variables: list[VarId], base: int) -> Polynomial:
+    """The Polynomial of packed terms."""
+    monomials = {}
+    for key, c in terms.items():
+        exps = []
+        for v in variables:
+            key, e = divmod(key, base)
+            exps.append((v, e))
+        monomials[Monomial(exps)] = c
+    return Polynomial(monomials)
+
+
+def _add_product(acc: dict[int, Rat], a: dict[int, Rat], b: dict[int, Rat], sign: int) -> None:
+    """Add sign*a*b into acc, dropping the keys whose coefficient cancels."""
+    get = acc.get
+    for k1, c1 in a.items():
+        c1 *= sign
+        for k2, c2 in b.items():
+            k = k1 + k2
+            s = get(k, 0) + c1 * c2
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+
+
+def _packed_section(h: HankelSection) -> tuple[list[VarId], int, list[list[dict[int, Rat]]]]:
+    """The section's variables in VarId order, the base, and its entries packed.
+
+    A monomial's key holds its exponents as the digits of one integer, in
+    the power-of-two base just above the largest exponent a minor can have
+    and in the order of the variables, so the key of a product is the sum
+    of the keys.  These keys are usually a single CPython digit, where a
+    polynomial's own 16-bit slots over the same variables span several, and
+    the scan's dict merges run faster on them.
+    """
+    # A Hankel section repeats each entry along its anti-diagonal.
+    items = {id(p): p.items() for row in h.entries for p in row}
+    exps = [m.exps for terms in items.values() for m, _ in terms]
+    variables = sorted({v for pairs in exps for v, _ in pairs})
     # A minor multiplies at most m entries.
-    packer = _Packed(variables, _Packed.largest_exponent(entries) * h.m)
-    return packer, [[packer.pack(p) for p in row] for row in h.entries]
+    largest = max((e for pairs in exps for _, e in pairs), default=0) * h.m
+    base = 1 << max(largest.bit_length(), 1)
+    packed = {i: _pack(terms, variables, base) for i, terms in items.items()}
+    return variables, base, [[packed[id(p)] for p in row] for row in h.entries]
 
 
 def all_minors_nonneg(
@@ -113,11 +159,13 @@ def all_minors_nonneg(
     r - 1 alone, and at most these two levels are held.  Minor (rows, cols)
     equals minor (cols, rows) in a symmetric section, so only pairs with
     rows <= cols are computed; the first offending pair always has
-    rows <= cols, since its mirror would come earlier.
+    rows <= cols, since its mirror would come earlier.  The minors are
+    held on the scan's own keys (``_packed_section``), never as
+    Polynomials; only the offending minor is unpacked.
     """
     if not 1 <= r_max <= h.m:
         raise ValueError(f"r_max must be within 1..{h.m}")
-    packer, grid = _packed_section(h)
+    variables, base, grid = _packed_section(h)
     previous = {((), ()): {0: 1}}  # the 0 x 0 minor is 1
     for r in range(1, r_max + 1):
         subsets = list(combinations(range(h.m), r))
@@ -131,9 +179,9 @@ def all_minors_nonneg(
                     if entry:
                         sub = cols[:idx] + cols[idx + 1 :]
                         below = previous[(rest, sub) if rest <= sub else (sub, rest)]
-                        packer.add_product(minor, entry, below, -1 if idx % 2 else 1)
+                        _add_product(minor, entry, below, -1 if idx % 2 else 1)
                 if any(c < 0 for c in minor.values()):
-                    return False, (rows, cols, packer.unpack(minor))
+                    return False, (rows, cols, _unpack(minor, variables, base))
                 level[rows, cols] = minor
         previous = level
     return True, None

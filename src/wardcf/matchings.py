@@ -22,8 +22,11 @@ count_Mprime and count_augmented never list decorated matchings.  Their
 weights are local: a wiggly or dashed line on (i, i+1) replaces the pure
 weights of its two vertices.  So each oracle takes one left-to-right sweep
 per base matching for the closer statistics and then sums over the
-decorations by a two-state transfer along 1..2n (``_decorated_sum``); the
-counts read one histogram of closer/opener adjacencies per n.  The brute
+decorations by a two-state transfer along 1..2n (``_decorated_sum``).  The
+transfer runs on ``Polynomial.terms`` keys: a closer factor is the key of
+its monomial, a product is a sum of keys, and the sum is checked once for
+an exponent overflow before it becomes a Polynomial.  The counts read one
+histogram of closer/opener adjacencies per n.  The brute
 sums over enumerate_super / enumerate_augmented are their references in
 the tests.  master_poly_T / master_poly_S still sum super_weight over the
 enumeration.
@@ -39,7 +42,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterator
 
-from .poly import Polynomial, VarId, _Packed, var
+from .poly import _SLOTS, Polynomial, VarId, var
 
 
 class PerfectMatching:
@@ -428,9 +431,9 @@ def _decorated_sum(
     n: int, factors: Callable[[int, int, int, int], tuple[int, int, int]]
 ) -> dict[int, int]:
     """Sum over the decorated matchings of [2n] of the product of their
-    closer factors, as a map from packed monomial keys to counts.
+    closer factors, as a map from ``Polynomial.terms`` keys to counts.
 
-    factors(k, j, cr, ne) gives the packed keys of the (pure, wiggly,
+    factors(k, j, cr, ne) gives the keys of the (pure, wiggly,
     dashed) factor of closer k with opener j.  A closer weighs its wiggly
     factor when it carries the wiggly line on (k, k+1), its dashed factor
     when it carries the dashed line on (k-1, k), and its pure factor
@@ -479,17 +482,15 @@ _CLASSES_18 = (
 
 
 def _record_poly(n: int, classes: tuple[tuple[str, ...], ...]) -> Polynomial:
-    variables = sorted({VarId(name) for row in classes for name in row})
-    # Each closer takes one record variable, and each pair of arches
-    # crosses or nests at most once.
-    packer = _Packed(variables, n + n * (n - 1) // 2)
-    keys = [[packer.key(VarId(name)) for name in row] for row in classes]
+    keys = [[_SLOTS.unit(VarId(name)) for name in row] for row in classes]
 
     def factors(k: int, j: int, crossings: int, nestings: int) -> tuple[int, int, int]:
         slot = k % 2 + (2 if nestings else 0)
         return tuple(row[slot] + crossings * row[4] + nestings * row[5] for row in keys)
 
-    return packer.unpack(_decorated_sum(n, factors))
+    terms = _decorated_sum(n, factors)
+    _SLOTS.check(terms)
+    return Polynomial._raw(terms)
 
 
 def poly_18var(n: int) -> Polynomial:
@@ -629,12 +630,11 @@ def generalized_ward_oracle(n: int) -> Polynomial:
     lines weigh w'.  Computed from partner arrays by ``_decorated_sum``;
     the brute sum over ``enumerate_super`` is the reference in the tests.
     """
-    # Each closer takes exactly one variable.
-    variables = [VarId(name) for name in ("x", "u", "z", "w'", "w''")]
-    packer = _Packed(variables, n)
-    x, u, z, wp, wpp = map(packer.key, variables)
+    x, u, z, wp, wpp = (_SLOTS.unit(VarId(name)) for name in ("x", "u", "z", "w'", "w''"))
 
     def factors(k: int, j: int, crossings: int, nestings: int) -> tuple[int, int, int]:
         return (x if crossings == 0 else u, wp, z if j == k - 1 else wpp)
 
-    return packer.unpack(_decorated_sum(n, factors))
+    terms = _decorated_sum(n, factors)
+    _SLOTS.check(terms)
+    return Polynomial._raw(terms)

@@ -17,7 +17,10 @@ visible depends on them: ``==`` and hashing compare keys within one
 process, and the canonical text orders monomials graded-lexicographically
 by VarId, an order computed only when printing, by sorts whose keys
 compare in C.  ``Monomial`` is the boundary type for building terms
-(``Polynomial({Monomial: c})``) and reading them (``items()``).
+(``Polynomial({Monomial: c})``) and reading them (``items()``).  This
+module is the only one that defines a key format: the decorated-matching
+transfer in ``matchings`` adds the registry's variable keys and checks its
+guard bits, and the Hankel scan re-encodes the Monomials it reads.
 
 Series are truncated at an explicit order; operations on mismatched orders
 raise rather than silently truncating.  The variable ``t`` is reserved for
@@ -630,77 +633,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-class _Packed:
-    """Polynomials over a fixed variable list as dicts from packed integer
-    keys to nonzero coefficients, in a tighter packing than
-    ``Polynomial.terms``.
-
-    A monomial's key holds its exponents as the digits of one integer, in
-    a power-of-two base just above max_exponent and in the order of the
-    list, so the key of a product is the sum of the keys.  Every exponent
-    that arises, in the factors and in the products, must be at most
-    max_exponent, or a digit carries into the next variable's.  The Hankel
-    scan and the decorated-matching transfer run on these keys: they are
-    usually a single CPython digit, where 16-bit slots over the same
-    variables span several, and the scan's dict merges run faster on them.
-    ``pack`` and ``unpack`` convert from and to ``Polynomial`` keys.
-    """
-
-    def __init__(self, variables: list[VarId], max_exponent: int):
-        self.base = 1 << max(max_exponent.bit_length(), 1)
-        self._keys = {v: self.base**i for i, v in enumerate(variables)}
-        self._units = [_SLOTS.unit(v) for v in variables]
-
-    def key(self, v: VarId) -> int:
-        """The key of the monomial v."""
-        return self._keys[v]
-
-    def pack(self, p: Polynomial) -> dict[int, Rat]:
-        slots = [(u.bit_length() - 1, u, k) for u, k in zip(self._units, self._keys.values())]
-        out: dict[int, Rat] = {}
-        for key, c in p.terms.items():
-            packed, rest = 0, key
-            for shift, unit, packed_unit in slots:
-                e = (key >> shift) & MAX_EXPONENT
-                packed += e * packed_unit
-                rest -= e * unit
-            if rest:
-                raise ValueError("the polynomial has a variable outside the packing")
-            out[packed] = c
-        return out
-
-    def unpack(self, d: dict[int, Rat]) -> Polynomial:
-        terms: dict[int, Rat] = {}
-        for packed, c in d.items():
-            key = 0
-            for unit in self._units:
-                packed, e = divmod(packed, self.base)
-                if e > MAX_EXPONENT:
-                    raise OverflowError(f"exponent {e} exceeds {MAX_EXPONENT}")
-                key += e * unit
-            terms[key] = c
-        return Polynomial._raw(_clean(terms))
-
-    @staticmethod
-    def largest_exponent(polys: Iterable[Polynomial]) -> int:
-        """The largest exponent of any variable in any of polys."""
-        return max((max(_exponents(k, _nbytes(k))) for p in polys for k in p.terms if k), default=0)
-
-    @staticmethod
-    def add_product(acc: dict[int, Rat], a: dict[int, Rat], b: dict[int, Rat], sign: int) -> None:
-        """Add sign*a*b into acc, dropping the keys whose coefficient cancels."""
-        get = acc.get
-        for k1, c1 in a.items():
-            c1 *= sign
-            for k2, c2 in b.items():
-                k = k1 + k2
-                s = get(k, 0) + c1 * c2
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
 
 
 def _coeff_str(c: Rat) -> str:

@@ -129,6 +129,24 @@ def test_depth_stability():
     assert expand_J(ZERO, beta, 5) == expand_J(ZERO, beta, 5, depth=8)
 
 
+def test_default_depth_reads_no_coefficient_past_the_order():
+    # f_order enters f_0 only through its constant term 1, so an expansion
+    # to order n reads alpha and delta at indices 1..n alone.
+    def upto(n, weight):
+        def coeff(i):
+            if i > n:
+                raise AssertionError(f"index {i} read at order {n}")
+            return weight(i)
+
+        return coeff
+
+    a, d = (lambda i: var("a", i)), (lambda i: var("d", i))
+    for n in range(7):
+        deep = expand_T(TCoeffs(a, d), n, depth=n + 2)
+        assert expand_T(TCoeffs(upto(n, a), upto(n, d)), n) == deep
+        assert expand_S(upto(n, a), n) == expand_S(a, n, depth=n + 2)
+
+
 def test_depth_one_is_the_hand_truncated_fraction():
     # depth=1 replaces the tail below the first level by 1.
     a1, d1, c0, b1 = var("a", 1), var("d", 1), var("c", 0), var("b", 1)

@@ -1,10 +1,16 @@
+import json
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wardcf import cli
 from wardcf.hankel import (
+    _add_product,
+    _pack,
+    _packed_section,
+    _unpack,
     all_minors_nonneg,
     det_bareiss,
     det_cofactor,
@@ -13,7 +19,7 @@ from wardcf.hankel import (
     hankel_section,
     ward_sequence,
 )
-from wardcf.poly import Monomial, Polynomial, VarId, var
+from wardcf.poly import Monomial, Polynomial, VarId, parse_poly, var
 
 x = var("x")
 z = var("z")
@@ -188,3 +194,65 @@ def test_level_scan_matches_memoized_scan(case):
     h = hankel_section(lambda n: seq[n], m)
     for r_max in range(1, m + 1):
         assert all_minors_nonneg(h, r_max) == memoized_minors_nonneg(h, r_max)
+
+
+# -- the scan's packed keys ---------------------------------------------------------------
+
+PACKED_VARS = [VarId("x"), VarId("z"), VarId("a", 1), VarId("b", 2, 1)]
+
+
+@st.composite
+def packable_polys(draw):
+    p = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        exps = {v: draw(st.integers(0, 9)) for v in draw(st.lists(st.sampled_from(PACKED_VARS)))}
+        p = p + Polynomial({Monomial(exps.items()): draw(st.integers(-5, 5))})
+    return p
+
+
+def packed_product(p, q, r, sign, short_bits=0):
+    """r + sign*p*q on the scan's keys of the section [[p, q], [q, r]],
+    in the scan's base for it, or in a base short_bits bits smaller."""
+    variables, base, _ = _packed_section(hankel_section(lambda n: (p, q, r)[n], 2))
+    base >>= short_bits
+    acc = _pack(r.items(), variables, base)
+    _add_product(acc, _pack(p.items(), variables, base), _pack(q.items(), variables, base), sign)
+    return _unpack(acc, variables, base)
+
+
+@given(packable_polys(), packable_polys(), packable_polys(), st.sampled_from([1, -1]))
+@settings(max_examples=100, deadline=None)
+def test_packed_product_matches_polynomial_product(p, q, r, sign):
+    assert packed_product(p, q, r, sign) == r + sign * p * q
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("largest", [1, 2, 3, 4, 7, 8, 100])
+def test_packed_product_at_the_exponent_bound(sign, largest):
+    # p*q reaches twice the largest exponent, the bound the scan's base
+    # holds for a product of two entries; one bit less carries.
+    a, b = var("a", 1), var("b", 2, 1)
+    p = x**largest * z + 2 * b**largest
+    q = x**largest - 3 * a * b**largest
+    r = 5 * x * z**largest
+    exact = r + sign * p * q
+    assert packed_product(p, q, r, sign) == exact
+    assert packed_product(p, q, r, sign, short_bits=1) != exact
+
+
+def test_hankel_verb_reports_a_negative_minor(capsys, monkeypatch):
+    # P_2 = 1 + x^2 + 3x^3 in place of (1 + x)^2: the leading 2 x 2 minor
+    # is 3x^3 - 2x, after every 1 x 1 minor passed.
+    def seq(n):
+        return 1 + x**2 + 3 * x**3 if n == 2 else (1 + x) ** n
+
+    monkeypatch.setitem(cli._HANKEL_SEQS, "ward", seq)
+    assert cli.run(["hankel", "--family", "ward", "--size", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    found = report["counterexample"]
+    rows, cols = tuple(found["rows"]), tuple(found["cols"])
+    assert (rows, cols) == ((0, 1), (0, 1))
+    expected = memoized_minor(hankel_section(seq, 3))(rows, cols)
+    assert expected == 3 * x**3 - 2 * x
+    assert parse_poly(found["minor"]) == expected

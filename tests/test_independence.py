@@ -12,9 +12,10 @@ import sys
 
 import pytest
 
-from wardcf import eulerian, matchings, trees, ward
+from wardcf import contfrac, eulerian, matchings, trees, ward
 from wardcf.cli import run
-from wardcf.poly import Polynomial, var
+from wardcf.contfrac import JCoeffs, TCoeffs
+from wardcf.poly import Polynomial, Series, var
 
 PACKAGE = {f"wardcf.{m}" for m in
            ("contfrac", "matchings", "paths", "trees", "eulerian", "ward", "hankel", "cli")}
@@ -102,6 +103,7 @@ def add_one(original):
     ("cor2.3", matchings, "poly_18var"),
     ("cor2.3", matchings, "poly_12var"),
     ("ward-euler", eulerian, "count_Mprime"),
+    ("thm2.1", matchings, "master_poly_T"),
     ("closed-form-ux", ward, "closed_form_u_eq_x"),
 ])
 def test_wrong_oracle_fails_its_suite(capsys, monkeypatch, suite, module, attr):
@@ -111,3 +113,52 @@ def test_wrong_oracle_fails_its_suite(capsys, monkeypatch, suite, module, attr):
     assert code == 1, out
     assert out.startswith(f"FAIL: {suite}: "), out
 
+
+def add_t(original):
+    """original with the term t added to the series it returns."""
+
+    def broken(*args, **kwargs):
+        series = original(*args, **kwargs)
+        return series + Series.t(series.order)
+
+    return broken
+
+
+def alpha_2_plus_one(original):
+    """A family lookup whose alpha_2 is one larger."""
+
+    def broken(name):
+        seq = original(name)
+        return TCoeffs(lambda i: seq.alpha(i) + (1 if i == 2 else 0), seq.delta)
+
+    return broken
+
+
+def gamma_1_plus_one(original):
+    """The contraction with gamma_1 one larger."""
+
+    def broken(seq):
+        j = original(seq)
+        return JCoeffs(lambda n: j.gamma(n) + (1 if n == 1 else 0), j.beta)
+
+    return broken
+
+
+# (suite, module, attribute, how to break it): the fraction side of each
+# identity made wrong by one term or one weight.
+BROKEN_SIDES = [
+    ("flajolet", contfrac, "expand_J", add_t),
+    ("appendixB", ward, "named_family", alpha_2_plus_one),
+    ("contraction", contfrac, "contract_T_to_J", gamma_1_plus_one),
+    ("euler-identity", contfrac, "expand_T", add_t),
+]
+
+
+@pytest.mark.parametrize("suite, module, attr, breaker", BROKEN_SIDES,
+                         ids=[case[0] for case in BROKEN_SIDES])
+def test_broken_side_fails_its_suite(capsys, monkeypatch, suite, module, attr, breaker):
+    monkeypatch.setattr(module, attr, breaker(getattr(module, attr)))
+    code = run(["verify", "--suite", suite, "--n", "3"])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    assert out.startswith(f"FAIL: {suite}: "), out

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,6 @@ from wardcf.poly import (
     Polynomial,
     Series,
     VarId,
-    _Packed,
     parse_poly,
     var,
 )
@@ -362,19 +362,6 @@ def test_parse_round_trip_over_every_name_shape(p):
     assert parse_poly(str(p)) == p
 
 
-# -- packed keys --------------------------------------------------------------------------
-
-
-@given(polynomials(), polynomials(), polynomials(), st.sampled_from([1, -1]))
-@settings(max_examples=100, deadline=None)
-def test_packed_product_matches_polynomial_product(p, q, r, sign):
-    largest = _Packed.largest_exponent((p, q, r))
-    packer = _Packed(sorted(VARS), 2 * largest)
-    acc = packer.pack(r)
-    _Packed.add_product(acc, packer.pack(p), packer.pack(q), sign)
-    assert packer.unpack(acc) == r + sign * p * q
-
-
 # -- packed Polynomial keys: exponent limit, print order, slot order ----------------------
 
 
@@ -479,3 +466,34 @@ def test_slot_order_never_leaks():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].splitlines()[0].startswith("-a[1]*z^9 + b[2,1]*z^9 + 3*a[1]*x*z^6 + ")
+
+
+# -- one owner of the key format ----------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wardcf"
+
+# The underscore names each module may import from poly: the transfer in
+# matchings builds polynomial keys from the slot registry.  The Hankel
+# scan reads Monomials and keeps its own keys, so it imports none.
+PRIVATE_POLY_IMPORTS = {"matchings": {"_SLOTS"}}
+
+
+def private_poly_imports(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "poly" and node.level == 1 or node.module == "wardcf.poly")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_only_poly_owns_the_key_format():
+    found = {
+        path.stem: names
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "poly" and (names := private_poly_imports(path.read_text()))
+    }
+    assert not found.get("hankel")
+    assert found == PRIVATE_POLY_IMPORTS
