@@ -26,10 +26,9 @@ decorations by a two-state transfer along 1..2n (``_decorated_sum``).  The
 transfer runs on ``Polynomial.terms`` keys: a closer factor is the key of
 its monomial, a product is a sum of keys, and the sum is checked once for
 an exponent overflow before it becomes a Polynomial.  The counts read one
-histogram of closer/opener adjacencies per n.  The brute
-sums over enumerate_super / enumerate_augmented are their references in
-the tests.  master_poly_T / master_poly_S still sum super_weight over the
-enumeration.
+histogram of closer/opener adjacencies per n.  The brute sums over
+enumerate_super / enumerate_augmented are their references in the tests.
+master_poly_T / master_poly_S still sum super_weight over the enumeration.
 """
 
 from __future__ import annotations
