@@ -155,7 +155,7 @@ class SuperMatching:
 
 # -- text format ----------------------------------------------------------------
 
-_PAIRS_RE = re.compile(r"\((\d+),(\d+)\)")
+_PAIRS_RE = re.compile(r"\((\d+),(\d+)\)", re.ASCII)
 
 
 def format_matching(sm: SuperMatching) -> str:
@@ -169,6 +169,7 @@ def parse_matching(text: str) -> SuperMatching:
     m = re.match(
         r"^pairs=(?P<pairs>(\(\d+,\d+\))*); wiggly=\{(?P<w>[\d,]*)\}; dashed=\{(?P<d>[\d,]*)\}$",
         text.strip(),
+        re.ASCII,
     )
     if not m:
         raise ValueError(f"bad matching text: {text!r}")

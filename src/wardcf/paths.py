@@ -158,7 +158,9 @@ def format_path(lp: LabeledSchroederPath) -> str:
 
 
 def parse_path(text: str) -> LabeledSchroederPath:
-    m = re.match(r"^(?P<steps>[RFWD.]*); labels=\[(?P<labels>[\d,.]*)\]$", text.strip())
+    m = re.match(
+        r"^(?P<steps>[RFWD.]*); labels=\[(?P<labels>[\d,.]*)\]$", text.strip(), re.ASCII
+    )
     if not m:
         raise ValueError(f"bad path text: {text!r}")
     steps = tuple(None if ch == "." else ch for ch in m.group("steps"))

@@ -6,6 +6,13 @@ unlabeled internal vertices, each with at least two children; (0, 0) is the
 single labeled vertex.  Trees are canonicalized by sorting children by
 minimum descendant label, so structural equality is tree equality.
 
+Trees of type (n, k) are enumerated by recursive set partitions: the
+root's children split the leaves into at least two blocks, and each block
+carries a tree of its own, memoized on leaves 1..s per block size s and
+relabeled onto the block.  The enumeration builds every tree canonical and
+once, and it shares no arithmetic with the Ward recurrence that counts
+them.
+
 The bijection runs through two inspectable intermediate stages:
 
   matching  ->  arch system on [2n+1]  ->  planar binary tree with wiggly
@@ -18,8 +25,7 @@ linearizing by (minimum descendant label, depth along left-child chains).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Optional, Union
 
 from .matchings import PerfectMatching, SuperMatching
@@ -50,6 +56,14 @@ class PhyloTree:
         labels = sorted(self.leaves())
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError("leaf labels must be 1..n+1")
+
+    @classmethod
+    def _canonical(cls, root: Node) -> "PhyloTree":
+        """A tree whose root is already canonical with leaves 1..n+1, as the
+        enumeration builds it: neither normalized nor checked again."""
+        tree = cls.__new__(cls)
+        tree.root = root
+        return tree
 
     @classmethod
     def _normalize(cls, node: Node) -> Node:
@@ -134,7 +148,7 @@ def parse_tree(text: str) -> PhyloTree:
             pos += 1
             return tuple(children)
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if start == pos:
             raise ValueError(f"expected leaf at {pos} in {text!r}")
@@ -149,46 +163,75 @@ def parse_tree(text: str) -> PhyloTree:
 # -- enumeration --------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _phylo_cache(n: int, k: int) -> tuple[Node, ...]:
-    if n == 0 and k == 0:
-        return (1,)
-    if not 1 <= k <= n:
-        return ()
-    new_leaf = n + 1
-    out: list[Node] = []
-    # Attach leaf n+1 as an extra child of each internal vertex.
-    for t in _phylo_cache(n - 1, k):
-        out.extend(_attach_everywhere(t, new_leaf))
-    # Subdivide each edge with a new binary vertex, or grow a new root.
-    for t in _phylo_cache(n - 1, k - 1):
-        out.extend(_subdivide_everywhere(t, new_leaf))
-        out.append(_canon((t, new_leaf)))
-    return tuple(out)
+# Canonical trees on leaves 1..s with j internal vertices, keyed (s, j).  Only
+# blocks below the root are memoized, so after enumerate_phylo(n, k) every key
+# has s <= n.
+_BLOCK_TREES: dict[tuple[int, int], tuple[Node, ...]] = {}
 
 
-def _attach_everywhere(node: Node, leaf: int) -> Iterator[Node]:
-    if isinstance(node, int):
+def _block_trees(block: tuple[int, ...], j: int):
+    """Canonical trees on the sorted leaves of block with j internal
+    vertices.  Leaf i of the memoized tree on 1..s becomes block[i-1]; the
+    map is increasing, so children stay sorted by least leaf."""
+    s = len(block)
+    if s == 1:
+        return block
+    shapes = _BLOCK_TREES.get((s, j))
+    if shapes is None:
+        shapes = _BLOCK_TREES[(s, j)] = tuple(_trees_on(tuple(range(1, s + 1)), j))
+    if block[-1] == s:
+        return shapes
+
+    def relabel(node):
+        if node.__class__ is int:
+            return block[node - 1]
+        return tuple(map(relabel, node))
+
+    return list(map(relabel, shapes))
+
+
+def _plans(leaves: tuple[int, ...], j: int, blocks: int) -> Iterator[tuple]:
+    """Splits of the sorted leaves into at least `blocks` blocks, listed by
+    least leaf, each paired with its number of internal vertices (0 for a
+    single leaf, 1..size-1 otherwise), j in total."""
+    if not leaves:
+        if j == 0 and blocks <= 0:
+            yield ()
         return
-    yield _canon(node + (leaf,))
-    for i, c in enumerate(node):
-        for c2 in _attach_everywhere(c, leaf):
-            yield _canon(node[:i] + (c2,) + node[i + 1 :])
+    first, rest = leaves[0], leaves[1:]
+    for extra in range(len(rest) + 2 - max(blocks, 1)):
+        for combo in combinations(rest, extra):
+            remaining = tuple(v for v in rest if v not in combo)
+            for i in range(1, min(extra, j) + 1) if extra else (0,):
+                for more in _plans(remaining, j - i, blocks - 1):
+                    yield (((first,) + combo, i),) + more
 
 
-def _subdivide_everywhere(node: Node, leaf: int) -> Iterator[Node]:
-    if isinstance(node, int):
+def _trees_on(leaves: tuple[int, ...], k: int) -> Iterator[Node]:
+    """Canonical trees on the sorted leaves with k internal vertices: the
+    root's children are the blocks of a set partition into >= 2 blocks,
+    each carrying a tree of its own."""
+    if len(leaves) == 1:
+        if k == 0:
+            yield leaves[0]
         return
-    for i, c in enumerate(node):
-        yield _canon(node[:i] + (_canon((c, leaf)),) + node[i + 1 :])
-        for c2 in _subdivide_everywhere(c, leaf):
-            yield _canon(node[:i] + (c2,) + node[i + 1 :])
+    for plan in _plans(leaves, k - 1, 2):
+        yield from product(*(_block_trees(block, i) for block, i in plan))
 
 
 def enumerate_phylo(n: int, k: int) -> Iterator[PhyloTree]:
-    """All phylogenetic trees of type (n, k), deterministically ordered."""
-    for node in _phylo_cache(n, k):
-        yield PhyloTree(node)
+    """All phylogenetic trees of type (n, k), each once and canonical.
+
+    Independent of the Ward recurrence: the trees come from set partitions
+    of the leaves among the root's children, not from inserting leaf n+1.
+    Order: the root's blocks are chosen one by one from the block of leaf
+    1, each by its number of further leaves, then those leaves in
+    lexicographic order, then its number of internal vertices; for each
+    such choice the blocks' trees follow in product order, the last block
+    varying fastest.  Each block's trees come in this same order.
+    """
+    for root in _trees_on(tuple(range(1, n + 2)), k):
+        yield PhyloTree._canonical(root)
 
 
 def multivariate_ward(n: int) -> Polynomial:

@@ -12,8 +12,8 @@ import sys
 
 import pytest
 
-from wardcf import contfrac, eulerian, matchings, trees, ward
-from wardcf.cli import run
+from wardcf import contfrac, eulerian, matchings, paths, trees, ward
+from wardcf.cli import SUITES, run
 from wardcf.contfrac import JCoeffs, TCoeffs
 from wardcf.poly import Polynomial, Series, var
 
@@ -97,7 +97,7 @@ def add_one(original):
     return lambda *args: original(*args) + 1
 
 
-@pytest.mark.parametrize("suite, module, attr", [
+WRONG_ORACLES = [
     ("thm1.1", matchings, "count_augmented"),
     ("thm1.2", matchings, "generalized_ward_oracle"),
     ("cor2.3", matchings, "poly_18var"),
@@ -105,7 +105,10 @@ def add_one(original):
     ("ward-euler", eulerian, "count_Mprime"),
     ("thm2.1", matchings, "master_poly_T"),
     ("closed-form-ux", ward, "closed_form_u_eq_x"),
-])
+]
+
+
+@pytest.mark.parametrize("suite, module, attr", WRONG_ORACLES)
 def test_wrong_oracle_fails_its_suite(capsys, monkeypatch, suite, module, attr):
     monkeypatch.setattr(module, attr, add_one(getattr(module, attr)))
     code = run(["verify", "--suite", suite, "--n", "3"])
@@ -144,21 +147,76 @@ def gamma_1_plus_one(original):
     return broken
 
 
-# (suite, module, attribute, how to break it): the fraction side of each
-# identity made wrong by one term or one weight.
+def first_label_plus_one(original):
+    """The path map with the label of its first step one larger."""
+
+    def broken(sm):
+        lp = original(sm)
+        labels = list(lp.labels)
+        if labels:
+            labels[0] += 1
+        return paths.LabeledSchroederPath(lp.path, labels)
+
+    return broken
+
+
+def first_item_twice(original):
+    """An enumeration that yields its first item twice."""
+
+    def broken(*args):
+        items = original(*args)
+        for first in items:
+            yield first
+            yield first
+            break
+        yield from items
+
+    return broken
+
+
+def leaves_1_and_2_swapped(original):
+    """The tree map with leaves 1 and 2 exchanged in every tree that has both."""
+
+    def swap(node):
+        if isinstance(node, int):
+            return {1: 2, 2: 1}.get(node, node)
+        return tuple(swap(c) for c in node)
+
+    def broken(sm):
+        tree = original(sm)
+        return trees.PhyloTree(swap(tree.root)) if tree.n else tree
+
+    return broken
+
+
+# (suite, module, attribute, how to break it): one side of each identity made
+# wrong by one term, weight, label, statistic, leaf or repeated object.
 BROKEN_SIDES = [
     ("flajolet", contfrac, "expand_J", add_t),
     ("appendixB", ward, "named_family", alpha_2_plus_one),
     ("contraction", contfrac, "contract_T_to_J", gamma_1_plus_one),
     ("euler-identity", contfrac, "expand_T", add_t),
+    ("bijection-schroeder", paths, "matching_to_path", first_label_plus_one),
+    ("bijection-schroeder", paths, "enumerate_labeled_schroeder2", first_item_twice),
+    ("bijection-phylo", trees, "augmented_to_tree", leaves_1_and_2_swapped),
+    ("lemma4.2", matchings, "qne", add_one),
+    ("thm1.1", trees, "enumerate_phylo", first_item_twice),
+]
+BROKEN_SIDE_IDS = [
+    suite if [case[0] for case in BROKEN_SIDES].count(suite) == 1 else f"{suite}-{attr}"
+    for suite, _, attr, _ in BROKEN_SIDES
 ]
 
 
-@pytest.mark.parametrize("suite, module, attr, breaker", BROKEN_SIDES,
-                         ids=[case[0] for case in BROKEN_SIDES])
+@pytest.mark.parametrize("suite, module, attr, breaker", BROKEN_SIDES, ids=BROKEN_SIDE_IDS)
 def test_broken_side_fails_its_suite(capsys, monkeypatch, suite, module, attr, breaker):
     monkeypatch.setattr(module, attr, breaker(getattr(module, attr)))
     code = run(["verify", "--suite", suite, "--n", "3"])
     out = capsys.readouterr().out
     assert code == 1, out
     assert out.startswith(f"FAIL: {suite}: "), out
+
+
+def test_every_suite_has_a_failing_case():
+    covered = {case[0] for case in WRONG_ORACLES + BROKEN_SIDES}
+    assert covered == set(SUITES)

@@ -481,3 +481,13 @@ def test_matching_text_round_trip():
     assert parse_matching(text) == sm
     empty = SuperMatching(pm((1, 2)))
     assert parse_matching(format_matching(empty)) == empty
+
+
+@pytest.mark.parametrize("text", [
+    "pairs=(\uff11,2); wiggly={}; dashed={}",
+    "pairs=(1,2)(3,4); wiggly={\uff12}; dashed={}",
+    "pairs=(1,2); wiggly={}; dashed={\u0661}",
+], ids=["pair", "wiggly", "dashed"])
+def test_parse_matching_accepts_only_ascii_digits(text):
+    with pytest.raises(ValueError, match="bad matching text"):
+        parse_matching(text)

@@ -252,3 +252,11 @@ def test_path_text_round_trip():
     assert parse_path(text) == lp
     empty = matching_to_path(SuperMatching(PerfectMatching.from_pairs([])))
     assert parse_path(format_path(empty)) == empty
+
+
+def test_parse_path_accepts_only_ascii_digits():
+    assert parse_path("RF; labels=[1,1]") == matching_to_path(
+        SuperMatching(PerfectMatching.from_pairs([(1, 2)]))
+    )
+    with pytest.raises(ValueError, match="bad path text"):
+        parse_path("RF; labels=[\uff11,1]")

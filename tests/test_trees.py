@@ -1,7 +1,9 @@
 import math
+from functools import lru_cache
 
 import pytest
 
+from wardcf import trees
 from wardcf.matchings import PerfectMatching, SuperMatching, enumerate_augmented
 from wardcf.poly import Polynomial, VarId, var
 from wardcf.trees import (
@@ -40,6 +42,85 @@ EXAMPLE = SuperMatching(
 )
 
 
+# -- the insertion reference -------------------------------------------------------------
+#
+# Trees of type (n, k) by inserting leaf n+1 into smaller trees.  Its list has
+# k*T(n-1, k) + (n+k-1)*T(n-1, k-1) entries by construction, the Ward
+# recurrence itself, so it serves as a reference for the set of trees and
+# never as the count that checks the triangle.
+
+
+def min_leaf(node):
+    while not isinstance(node, int):
+        node = node[0]
+    return node
+
+
+def canon(children):
+    return tuple(sorted(children, key=min_leaf))
+
+
+@lru_cache(maxsize=None)
+def insertion_trees(n, k):
+    if n == 0 and k == 0:
+        return (1,)
+    if not 1 <= k <= n:
+        return ()
+    new_leaf = n + 1
+    out = []
+    # Attach leaf n+1 as an extra child of each internal vertex.
+    for t in insertion_trees(n - 1, k):
+        out.extend(attach_everywhere(t, new_leaf))
+    # Subdivide each edge with a new binary vertex, or grow a new root.
+    for t in insertion_trees(n - 1, k - 1):
+        out.extend(subdivide_everywhere(t, new_leaf))
+        out.append(canon((t, new_leaf)))
+    return tuple(out)
+
+
+def attach_everywhere(node, leaf):
+    if isinstance(node, int):
+        return
+    yield canon(node + (leaf,))
+    for i, c in enumerate(node):
+        for c2 in attach_everywhere(c, leaf):
+            yield canon(node[:i] + (c2,) + node[i + 1 :])
+
+
+def subdivide_everywhere(node, leaf):
+    if isinstance(node, int):
+        return
+    for i, c in enumerate(node):
+        yield canon(node[:i] + (canon((c, leaf)),) + node[i + 1 :])
+        for c2 in subdivide_everywhere(c, leaf):
+            yield canon(node[:i] + (c2,) + node[i + 1 :])
+
+
+def test_set_partition_trees_equal_the_insertion_reference():
+    for n in range(6):
+        for k in range(n + 1) if n else (0,):
+            reference = {PhyloTree(node) for node in insertion_trees(n, k)}
+            assert len(reference) == len(insertion_trees(n, k))
+            assert set(enumerate_phylo(n, k)) == reference
+
+
+def test_phylo_counts_at_seven(monkeypatch):
+    monkeypatch.setattr(trees, "_BLOCK_TREES", {})  # drop the 7-leaf blocks afterwards
+    counts = [sum(1 for _ in enumerate_phylo(7, k)) for k in range(8)]
+    assert counts == [0, 1, 246, 6825, 56980, 190575, 270270, 135135]
+
+
+def test_memo_holds_only_blocks_below_the_root(monkeypatch):
+    monkeypatch.setattr(trees, "_BLOCK_TREES", {})
+    for n in range(6):
+        for k in range(n + 1) if n else (0,):
+            list(enumerate_phylo(n, k))
+            assert all(s <= n for s, _ in trees._BLOCK_TREES), (n, k)
+            for (s, j), shapes in trees._BLOCK_TREES.items():
+                assert all(sorted(PhyloTree(t).leaves()) == list(range(1, s + 1)) for t in shapes)
+                assert all(PhyloTree(t).internal_count() == j for t in shapes)
+
+
 def test_phylo_counts_match_ward_triangle():
     tri = ward_triangle(5)
     assert len(list(enumerate_phylo(0, 0))) == 1
@@ -47,12 +128,14 @@ def test_phylo_counts_match_ward_triangle():
     assert len(list(enumerate_phylo(5, 5))) == 945
     for n in range(6):
         for k in range(n + 1):
-            trees = list(enumerate_phylo(n, k))
-            assert len(trees) == tri[n][k]
-            assert len(set(trees)) == len(trees)  # enumeration has no repeats
-            for t in trees:
+            found = list(enumerate_phylo(n, k))
+            assert len(found) == tri[n][k]
+            assert len(set(found)) == len(found)  # enumeration has no repeats
+            for t in found:
                 assert t.n == n and t.internal_count() == k
                 assert all(s >= 2 for s in t.child_sizes())
+                assert PhyloTree(t.root) == t  # canonical and valid as built
+    assert list(enumerate_phylo(-1, 0)) == []
 
 
 def test_phylo_generating_polynomial_equals_ward_poly():
@@ -188,7 +271,7 @@ def test_dashed_decorations_rejected():
 
 
 def test_tree_serialization_round_trip():
-    for n in range(5):
+    for n in range(6):
         for k in range(n + 1) if n else (0,):
             for tree in enumerate_phylo(n, k):
                 assert parse_tree(serialize_tree(tree)) == tree
@@ -199,6 +282,16 @@ def test_tree_validation():
         PhyloTree((1,))  # one child
     with pytest.raises(ValueError):
         PhyloTree((1, 3))  # labels must be 1..n+1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(1,\uff12)", "expected leaf at 3"),
+    ("(1,2\u00b2)", "unbalanced parse at 4"),
+    ("(\u0661,2)", "expected leaf at 1"),
+], ids=["fullwidth-two", "superscript-two", "arabic-indic-one"])
+def test_parse_tree_accepts_only_ascii_digits(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_tree(text)
 
 
 # -- partitions into blocks of size >= 2 ---------------------------------------------------
