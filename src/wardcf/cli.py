@@ -15,7 +15,7 @@ import sys
 from typing import Callable
 
 from . import contfrac, eulerian, hankel, matchings, paths, trees, ward
-from .poly import T_VAR, Polynomial, VarId, parse_poly
+from .poly import T_VAR, Polynomial, VarId, parse_poly, var
 
 DEFAULT_MAX_N = 6
 
@@ -131,8 +131,6 @@ SuiteResult = tuple[bool, str]
 
 
 def _suite_thm11(n: int, cap: int) -> SuiteResult:
-    from .poly import var
-
     x = var("x")
     series = contfrac.expand_T(contfrac.named_family("ward"), n)
     for m in range(n + 1):
@@ -155,12 +153,9 @@ def _suite_thm11(n: int, cap: int) -> SuiteResult:
 
 
 def _suite_thm12(n: int, cap: int) -> SuiteResult:
-    from .contfrac import TCoeffs
-    from .poly import var
-
     x, u, z = var("x"), var("u"), var("z")
     wp, wpp = var("w'"), var("w''")
-    seq = TCoeffs(
+    seq = contfrac.TCoeffs(
         alpha=lambda i: x + (i - 1) * u,
         delta=lambda i: z + (i - 1) * (wp + wpp),
     )
@@ -199,8 +194,6 @@ def _suite_thm21(n: int, cap: int) -> SuiteResult:
 
 
 def _suite_cor23(n: int, cap: int) -> SuiteResult:
-    from .poly import var
-
     s18 = contfrac.expand_T(matchings.tfraction_18var(), n)
     s12 = contfrac.expand_T(matchings.tfraction_12var(), n)
     s12a = contfrac.expand_T(matchings.tfraction_12var_bis1(), n)
@@ -293,8 +286,6 @@ def _suite_ward_euler(n: int, cap: int) -> SuiteResult:
 
 
 def _suite_flajolet(n: int, cap: int) -> SuiteResult:
-    from .poly import var
-
     w = paths.FlajoletWeights(
         rise=lambda k: var("a", k),
         fall=lambda k: var("b", k),
@@ -310,13 +301,10 @@ def _suite_flajolet(n: int, cap: int) -> SuiteResult:
 
 
 def _suite_contraction(n: int, cap: int) -> SuiteResult:
-    from .contfrac import TCoeffs
-    from .poly import var
-
     x, z = var("x"), var("z")
     cases = [
-        TCoeffs(lambda i: Polynomial.const(i), lambda i: Polynomial.zero()),
-        TCoeffs(lambda i: x, lambda i: z if i % 2 == 1 else Polynomial.zero()),
+        contfrac.TCoeffs(lambda i: Polynomial.const(i), lambda i: Polynomial.zero()),
+        contfrac.TCoeffs(lambda i: x, lambda i: z if i % 2 == 1 else Polynomial.zero()),
     ]
     for idx, seq in enumerate(cases):
         j = contfrac.contract_T_to_J(seq)
@@ -326,8 +314,6 @@ def _suite_contraction(n: int, cap: int) -> SuiteResult:
 
 
 def _suite_euler_identity(n: int, cap: int) -> SuiteResult:
-    from .poly import var
-
     x = var("x")
     for name, alpha in [
         ("factorials", lambda i: Polynomial.const(i)),

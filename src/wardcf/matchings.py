@@ -67,6 +67,9 @@ class PerfectMatching:
         size = 2 * len(pairs)
         partner = [0] * (size + 1)
         for a, b in pairs:
+            for v in (a, b):
+                if not 1 <= v <= size:
+                    raise ValueError(f"vertex {v} outside 1..{size}")
             partner[a] = b
             partner[b] = a
         return cls(tuple(partner))
@@ -112,6 +115,9 @@ class SuperMatching:
     def __init__(self, base: PerfectMatching, wiggly=(), dashed=()):
         wiggly = frozenset(wiggly)
         dashed = frozenset(dashed)
+        for i in wiggly | dashed:
+            if not 1 <= i <= 2 * base.n:
+                raise ValueError(f"line at vertex {i} outside 1..{2 * base.n}")
         for i in wiggly:
             if not (base.is_closer(i) and i + 1 <= 2 * base.n and base.is_opener(i + 1)):
                 raise ValueError(f"wiggly line at {i} needs closer,opener")

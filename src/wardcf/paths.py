@@ -1,22 +1,27 @@
 """Lattice paths, height-dependent weights, and the bijection between
 decorated matchings and labeled 2-colored Schroeder paths.
 
-Schroeder paths use unit rises ("R"), unit falls ("F"), and width-2 long
-level steps of two colors ("W" and "D").  The step starting at abscissa
-i-1 is s_i; when s_i is a long level step, s_{i+1} and the height h_i are
-undefined.  Motzkin and Dyck paths are plain tuples over "R"/"F"/"L".
-All three kinds are enumerated by one depth-first walker over a table of
-steps (kind, height change, width), tried in the order R < F < L for
-Motzkin, R < F for Dyck and R < F < W < D for Schroeder paths.
+The steps of a 2-colored Schroeder path, and the labels each can carry
+when it starts at height h:
+
+    step                     height change  width  labels
+    R  rise                  +1             1      1
+    F  fall                  -1             1      1..h
+    W  long level, color 1    0             2      1..h
+    D  long level, color 2    0             2      1..h+1
+
+The step starting at abscissa i-1 is s_i; a width-2 step leaves s_{i+1}
+and the height h_i undefined.  Motzkin paths (R, F and a unit level "L")
+and Dyck paths (R, F) are plain tuples.  All three kinds are enumerated by
+one depth-first walker over a table of steps, tried in the order R < F < L
+for Motzkin, R < F for Dyck and R < F < W < D for Schroeder paths.
 
 The bijection sends a decorated matching of [2n] to a path of length 2n:
 pure openers become rises, pure closers falls, wiggly pairs color-1 long
 levels, dashed pairs color-2 long levels.  Labels record which open arch
 each closing vertex attaches to, counted among the arches started but
 unfinished so far in increasing order of opener; a dashed pair closing its
-own arch gets the out-of-range label h+1.  The labels a step can carry at
-height h are 1 for a rise, 1..h for a fall or a color-1 level and 1..h+1
-for a color-2 level.
+own arch gets the out-of-range label h+1.
 
 T-fractions also admit an older interpretation as Dyck paths whose falls
 are weighted differently at peaks; this module implements only the
@@ -27,13 +32,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterator, Optional
 
 from .matchings import IndexedWeights, PerfectMatching, SuperMatching, star
 from .poly import Polynomial, Series
 
 RISE, FALL, LL1, LL2 = "R", "F", "W", "D"
-_LONG = (LL1, LL2)
+
+# Step tables (kind, height change, width), in the order the walker tries
+# them at each abscissa.  _SCHROEDER is also what SchroederPath checks.
+_MOTZKIN = ((RISE, 1, 1), (FALL, -1, 1), ("L", 0, 1))
+_DYCK = _MOTZKIN[:2]
+_SCHROEDER = ((RISE, 1, 1), (FALL, -1, 1), (LL1, 0, 2), (LL2, 0, 2))
+_HEIGHT_CHANGE = {kind: dh for kind, dh, _ in _MOTZKIN + _SCHROEDER}
+_SCHROEDER_MOVE = {kind: (dh, width) for kind, dh, width in _SCHROEDER}
 
 
 class SchroederPath:
@@ -54,24 +67,19 @@ class SchroederPath:
         i = 0
         while i < len(steps):
             kind = steps[i]
-            if kind == RISE:
-                h += 1
-                heights.append(h)
-                i += 1
-            elif kind == FALL:
-                h -= 1
-                heights.append(h)
-                i += 1
-            elif kind in _LONG:
+            try:
+                dh, width = _SCHROEDER_MOVE[kind]
+            except (KeyError, TypeError):
+                raise ValueError(f"bad step {kind!r} at abscissa {i}") from None
+            if width == 2:
                 if i + 1 >= len(steps) or steps[i + 1] is not None:
                     raise ValueError("long level step must skip one abscissa")
                 heights.append(None)
-                heights.append(h)
-                i += 2
-            else:
-                raise ValueError(f"bad step {kind!r} at abscissa {i}")
+            h += dh
             if h < 0:
                 raise ValueError("path dips below zero")
+            heights.append(h)
+            i += width
         if h != 0:
             raise ValueError("path must end at height zero")
         self.steps = steps
@@ -84,9 +92,6 @@ class SchroederPath:
     @property
     def n(self) -> int:
         return len(self.steps) // 2
-
-    def height(self, i: int) -> Optional[int]:
-        return self.heights[i]
 
     def __eq__(self, other):
         return isinstance(other, SchroederPath) and self.steps == other.steps
@@ -172,14 +177,6 @@ def parse_path(text: str) -> LabeledSchroederPath:
 # -- enumeration -----------------------------------------------------------------
 
 
-# Step tables (kind, height change, width), in the order the walker tries
-# them at each abscissa.
-_MOTZKIN = ((RISE, 1, 1), (FALL, -1, 1), ("L", 0, 1))
-_DYCK = _MOTZKIN[:2]
-_SCHROEDER = ((RISE, 1, 1), (FALL, -1, 1), (LL1, 0, 2), (LL2, 0, 2))
-_HEIGHT_CHANGE = {kind: dh for kind, dh, _ in _MOTZKIN + _SCHROEDER}
-
-
 def _walk(table, length: int) -> Iterator[tuple[Optional[str], ...]]:
     """Paths of the given length from height 0 back to 0 that never dip
     below 0, depth-first in table order.  A step of width w fills w
@@ -226,26 +223,12 @@ def enumerate_labeled_schroeder2(length: int) -> Iterator[LabeledSchroederPath]:
     matching bijection; step sequences first, label vectors in
     lexicographic order within each path."""
     for path in enumerate_schroeder2(length):
-        slots = [
-            (i, _CEILING[s](path.heights[i]))
-            for i, s in enumerate(path.steps)
-            if s is not None
+        caps = [
+            (None,) if s is None else range(1, _CEILING[s](h) + 1)
+            for s, h in zip(path.steps, path.heights)
         ]
-        if any(c < 1 for _, c in slots):
-            continue
-
-        def rec(idx, acc):
-            if idx == len(slots):
-                labels: list[Optional[int]] = [None] * path.length
-                for (pos, _), xi in zip(slots, acc):
-                    labels[pos] = xi
-                yield LabeledSchroederPath(path, labels)
-                return
-            _, cap = slots[idx]
-            for xi in range(1, cap + 1):
-                yield from rec(idx + 1, acc + [xi])
-
-        yield from rec(0, [])
+        for labels in product(*caps):
+            yield LabeledSchroederPath(path, labels)
 
 
 # -- height-dependent path weights --------------------------------------------------
@@ -321,7 +304,7 @@ def matching_to_path(sm: SuperMatching) -> LabeledSchroederPath:
     size = 2 * pm.n
     steps: list[Optional[str]] = []
     labels: list[Optional[int]] = []
-    active: list[int] = []  # openers of started-but-unfinished arches, increasing
+    active: list[int] = []  # open arches' openers; each append is past all: increasing
     i = 1
     while i <= size:
         if i in sm.wiggly:
@@ -332,16 +315,14 @@ def matching_to_path(sm: SuperMatching) -> LabeledSchroederPath:
             active.append(i + 1)
             i += 2
         elif i in sm.dashed:
+            steps += [LL2, None]
             if pm.partner[i] == i + 1:
-                steps += [LL2, None]
                 labels += [len(active) + 1, None]
             else:
                 j = pm.partner[i + 1]
-                steps += [LL2, None]
                 labels += [active.index(j) + 1, None]
                 active.remove(j)
                 active.append(i)
-                active.sort()
             i += 2
         elif pm.is_opener(i):
             steps.append(RISE)
@@ -389,7 +370,6 @@ def path_to_matching(lp: LabeledSchroederPath) -> SuperMatching:
         elif s == LL1:
             close(xi, i, s)
             active.append(i + 1)
-            active.sort()
             wiggly.append(i)
             i += 2
         elif s == LL2:
@@ -399,7 +379,6 @@ def path_to_matching(lp: LabeledSchroederPath) -> SuperMatching:
             else:
                 close(xi, i + 1, s)
                 active.append(i)
-                active.sort()
             dashed.append(i)
             i += 2
         else:

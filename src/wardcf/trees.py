@@ -19,7 +19,7 @@ The bijection runs through two inspectable intermediate stages:
   right edges  ->  phylogenetic tree (wiggly edges contracted),
 
 and back, splitting high-degree vertices into wiggly right chains and
-linearizing by (minimum descendant label, depth along left-child chains).
+listing the binary tree's left-child chains in order of their leaves.
 """
 
 from __future__ import annotations
@@ -92,12 +92,7 @@ class PhyloTree:
         return len(self.leaves()) - 1
 
     def internal_count(self) -> int:
-        def walk(node):
-            if isinstance(node, int):
-                return 0
-            return 1 + sum(walk(c) for c in node)
-
-        return walk(self.root)
+        return len(self.child_sizes())
 
     def child_sizes(self) -> list[int]:
         """Number of children of each internal vertex, in walk order."""
@@ -356,50 +351,39 @@ def tree_to_binary(tree: PhyloTree) -> BinTree:
 def binary_to_arch_system(bt: BinTree) -> ArchSystem:
     """Linearize a planar binary tree back into an arch system.
 
-    Vertices are ordered by (minimum descendant label, depth along the
-    left-child chain); each internal vertex then sits immediately left of
-    its left child, so horizontals are adjacent pairs."""
-    entries: list[tuple[int, int, BinTree]] = []  # (label, chain_depth, node)
+    The vertices are listed chain by chain: the left-child chain that ends
+    at leaf 1, top down, then the one that ends at leaf 2, and so on; that
+    is, by (least label, depth along the left-child chain).  Each internal
+    vertex then sits immediately left of its left child, so horizontals
+    are adjacent pairs, and its arch ends at the top of its right child's
+    chain."""
+    # Leaf -> (wiggly, leaf of the right child's chain) per internal vertex
+    # of the chain ending at that leaf, top down.
+    chains: dict[int, list[tuple[bool, int]]] = {}
 
-    def key(node: BinTree):
-        return ("leaf", node) if isinstance(node, int) else ("node", id(node))
+    def lay(node: BinTree) -> int:
+        chain = []
+        while not isinstance(node, int):
+            chain.append(node)
+            node = node.left
+        chains[node] = [(v.right_wiggly, lay(v.right)) for v in chain]
+        return node
 
-    def walk(node: BinTree, depth: int) -> int:
-        if isinstance(node, int):
-            entries.append((node, depth, node))
-            return node
-        label = walk(node.left, depth + 1)
-        walk(node.right, 0)
-        entries.append((label, depth, node))
-        return label
-
-    walk(bt, 0)
-    entries.sort(key=lambda e: (e[0], e[1]))
-    position = {key(node): i + 1 for i, (_, _, node) in enumerate(entries)}
-
-    arches = []
-    horizontals = []
-    labels = []
-
-    def emit(node: BinTree):
-        if isinstance(node, int):
-            return
-        pos = position[key(node)]
-        horizontals.append((pos, position[key(node.left)]))
-        arches.append((pos, position[key(node.right)], node.right_wiggly))
-        emit(node.left)
-        emit(node.right)
-
-    emit(bt)
-    for label, _, node in entries:
-        if isinstance(node, int):
-            labels.append((position[key(node)], node))
-    return ArchSystem(
-        len(entries),
-        tuple(sorted(arches)),
-        tuple(sorted(horizontals)),
-        tuple(sorted(labels)),
-    )
+    lay(bt)
+    leaves = sorted(chains)
+    top, size = {}, 0
+    for leaf in leaves:
+        top[leaf] = size + 1
+        size += len(chains[leaf]) + 1
+    arches, horizontals, labels = [], [], []
+    for leaf in leaves:
+        pos = top[leaf]
+        for wiggly, right in chains[leaf]:
+            arches.append((pos, top[right], wiggly))
+            horizontals.append((pos, pos + 1))
+            pos += 1
+        labels.append((pos, leaf))
+    return ArchSystem(size, tuple(arches), tuple(horizontals), tuple(labels))
 
 
 def arch_system_to_matching(arch: ArchSystem) -> SuperMatching:

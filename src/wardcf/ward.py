@@ -112,15 +112,8 @@ def check_cor_B2(order: int) -> bool:
             if wnk != (n + k - 1) * left + (z + k * w) * same:
                 return False
     # z=0, w=1 collapse
-    tri = ward_triangle(order)
     sub = {Z: Polynomial.zero(), W: Polynomial.one()}
-    for n in range(order + 1):
-        expected = Polynomial.sum(
-            c * var("x") ** k for k, c in enumerate(tri[n]) if c
-        )
-        if ps[n].substitute(sub) != expected:
-            return False
-    return True
+    return all(ps[n].substitute(sub) == ward_poly(n) for n in range(order + 1))
 
 
 def check_cor_B3(order: int) -> bool:

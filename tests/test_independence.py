@@ -53,6 +53,8 @@ GUARDS = [
      besides("matchings"), set(), "enumerate_super"),
     ("ward_poly", lambda: ward.ward_poly(3), besides("ward"),
      {"expand_T", "generalized_ward_cf"}, "ward_triangle"),
+    ("enumerate_labeled_schroeder2", lambda: list(paths.enumerate_labeled_schroeder2(6)),
+     besides("paths"), {"matching_to_path", "path_to_matching"}, "_walk"),
     ("enumerate_phylo", lambda: list(trees.enumerate_phylo(3, 2)), besides("trees"),
      set(), "enumerate_phylo"),
     ("multivariate_ward", lambda: trees.multivariate_ward(3), besides("trees"),

@@ -56,6 +56,10 @@ def test_matching_validation():
         PerfectMatching((0, 1, 2))  # fixed points
     with pytest.raises(ValueError):
         PerfectMatching((0, 2, 1, 3))  # odd size
+    with pytest.raises(ValueError, match="vertex 3 outside 1..2"):
+        parse_matching("pairs=(1,3); wiggly={}; dashed={}")
+    with pytest.raises(ValueError, match="vertex 5 outside 1..2"):
+        parse_matching("pairs=(1,2); wiggly={5}; dashed={}")
 
 
 def test_super_validation():

@@ -49,14 +49,20 @@ def test_schroeder_path_heights():
 
 
 def test_schroeder_path_validation():
-    with pytest.raises(ValueError):
-        SchroederPath(("F", "R"))  # dips below zero
-    with pytest.raises(ValueError):
-        SchroederPath(("R", "R"))  # does not return to zero
-    with pytest.raises(ValueError):
-        SchroederPath(("R", "F", "W", "F"))  # long level must skip an abscissa
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="path dips below zero"):
+        SchroederPath(("F", "R"))
+    with pytest.raises(ValueError, match="path must end at height zero"):
+        SchroederPath(("R", "R"))
+    with pytest.raises(ValueError, match="long level step must skip one abscissa"):
+        SchroederPath(("R", "F", "W", "F"))
+    with pytest.raises(ValueError, match="long level step must skip one abscissa"):
         SchroederPath(("R", "D"))  # long level at the final abscissa
+    with pytest.raises(ValueError, match="path length must be even"):
+        SchroederPath(("R", "F", "R"))
+    with pytest.raises(ValueError, match="bad step None at abscissa 1"):
+        SchroederPath(("R", None, "F", "F"))  # stray None
+    with pytest.raises(ValueError, match="bad step 'L' at abscissa 2"):
+        SchroederPath(("R", "F", "L", "L"))  # a Motzkin step
 
 
 def test_enumeration_counts():
@@ -95,6 +101,13 @@ def test_enumeration_order():
     assert ["".join(s or "." for s in p.steps) for p in enumerate_schroeder2(4)] == [
         "RRFF", "RFRF", "RFW.", "RFD.", "RW.F", "RD.F",
         "W.RF", "W.W.", "W.D.", "D.RF", "D.W.", "D.D.",
+    ]
+    # Within each path, label vectors in lexicographic order; paths with a
+    # color-1 level at height 0 carry no labels and are skipped.
+    assert [format_path(lp) for lp in enumerate_labeled_schroeder2(4)] == [
+        "RRFF; labels=[1,1,1,1]", "RRFF; labels=[1,1,2,1]", "RFRF; labels=[1,1,1,1]",
+        "RFD.; labels=[1,1,1,.]", "RW.F; labels=[1,1,.,1]", "RD.F; labels=[1,1,.,1]",
+        "RD.F; labels=[1,2,.,1]", "D.RF; labels=[1,.,1,1]", "D.D.; labels=[1,.,1,.]",
     ]
 
 

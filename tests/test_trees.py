@@ -261,6 +261,13 @@ def test_exhaustive_round_trip():
                 assert augmented_to_tree(image[tree]) == tree
 
 
+def test_arch_system_stage_round_trip():
+    for n in range(1, 6):
+        for sm in enumerate_augmented(n):
+            arch = arch_system_of(sm)
+            assert binary_to_arch_system(binary_tree_of(arch)) == arch
+
+
 def test_dashed_decorations_rejected():
     sm = SuperMatching(PerfectMatching.from_pairs([(1, 2)]), dashed=[1])
     with pytest.raises(ValueError):
