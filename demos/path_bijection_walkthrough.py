@@ -55,7 +55,7 @@ print(f"\nvertex {k}: cr = {cr(k, example.base)}, ne = {ne(k, example.base)};"
       f" path h = {lp.path.heights[k - 1]}, label = {lp.labels[k - 1]}")
 
 assert path_to_matching(lp) == example
-assert verify_heights(example) and verify_statistics(example)
+assert verify_heights(example, lp.path) and verify_statistics(example)
 print("\nround trip and statistic translation verified on the instance")
 
 # Exhaustively for all sizes up to 4, the map is a bijection onto exactly

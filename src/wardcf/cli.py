@@ -224,7 +224,7 @@ def _suite_bijection_schroeder(n: int, cap: int) -> SuiteResult:
             lp = paths.matching_to_path(sm)
             if not paths.satisfies_bounds(lp):
                 return False, f"label bounds violated: {matchings.format_matching(sm)}"
-            if not paths.verify_heights(sm):
+            if not paths.verify_heights(sm, lp.path):
                 return False, f"height mismatch: {matchings.format_matching(sm)}"
             if paths.path_to_matching(lp) != sm:
                 return False, f"round trip failed: {matchings.format_matching(sm)}"

@@ -13,16 +13,16 @@ of short integers; an offending minor comes back as a Polynomial built from
 Monomials.  The scan goes level by level: the r x r minors are expanded
 along their first row into the (r-1) x (r-1) minors, which are then
 dropped.  A Hankel section is symmetric, so each level keeps only the
-pairs with rows <= cols.  An independent fraction-free (Bareiss)
-elimination with exact polynomial division is provided and cross-checked
-against cofactor expansion in the tests.
+pairs with rows <= cols.  The tests hold the references it is checked
+against: cofactor expansion, fraction-free (Bareiss) elimination with
+exact polynomial division, and a memoized scan on Polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .poly import Monomial, Polynomial, Rat, VarId
 
@@ -38,58 +38,9 @@ class HankelSection:
 def hankel_section(seq: Callable[[int], Polynomial], m: int) -> HankelSection:
     if m < 1:
         raise ValueError("section size must be positive")
-    cache = [Polynomial._coerce(seq(n)) for n in range(2 * m - 1)]
+    cache = [Polynomial._coerce_or_raise(seq(n)) for n in range(2 * m - 1)]
     rows = tuple(tuple(cache[i + j] for j in range(m)) for i in range(m))
     return HankelSection(m, rows)
-
-
-# -- exact determinants on Polynomial matrices ------------------------------------------
-
-
-def det_cofactor(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Expansion along the first row; exponential, for cross-checks."""
-    size = len(matrix)
-    if size == 0:
-        return Polynomial.one()
-    if size == 1:
-        return matrix[0][0]
-    total = Polynomial.zero()
-    for j in range(size):
-        if matrix[0][j].is_zero():
-            continue
-        minor = [
-            [row[c] for c in range(size) if c != j] for row in matrix[1:]
-        ]
-        piece = matrix[0][j] * det_cofactor(minor)
-        total = total + piece if j % 2 == 0 else total - piece
-    return total
-
-
-def det_bareiss(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Fraction-free elimination with exact polynomial division."""
-    size = len(matrix)
-    if size == 0:
-        return Polynomial.one()
-    a = [[p for p in row] for row in matrix]
-    sign = 1
-    prev = Polynomial.one()
-    for k in range(size - 1):
-        if a[k][k].is_zero():
-            pivot_row = next(
-                (r for r in range(k + 1, size) if not a[r][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return Polynomial.zero()
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.divide_exact(prev)
-            a[i][k] = Polynomial.zero()
-        prev = a[k][k]
-    det = a[size - 1][size - 1]
-    return det if sign == 1 else -det
 
 
 # -- the all-minors scan on packed keys -------------------------------------------------

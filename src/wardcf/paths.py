@@ -386,19 +386,14 @@ def path_to_matching(lp: LabeledSchroederPath) -> SuperMatching:
     return SuperMatching(PerfectMatching(tuple(partner)), wiggly, dashed)
 
 
-def verify_heights(sm: SuperMatching) -> bool:
-    """Every defined height equals the number of arches started but not yet
-    finished."""
+def verify_heights(sm: SuperMatching, path: SchroederPath) -> bool:
+    """Whether each defined height of path, sm's ``matching_to_path(sm).path``,
+    counts the arches of sm started but not yet finished there."""
     pm = sm.base
-    path = matching_to_path(sm).path
-    for i in range(2 * pm.n + 1):
-        h = path.heights[i]
-        if h is None:
-            continue
-        started = sum(1 for j in range(1, i + 1) if pm.partner[j] > i)
-        if h != started:
-            return False
-    return True
+    return path.length == 2 * pm.n and all(
+        h is None or h == sum(1 for j in range(1, i + 1) if pm.partner[j] > i)
+        for i, h in enumerate(path.heights)
+    )
 
 
 def verify_statistics(sm: SuperMatching) -> bool:

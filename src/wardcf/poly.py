@@ -52,6 +52,14 @@ def _norm_coeff(c: Rat) -> Rat:
     return c
 
 
+def _checked(value, types: tuple, what: str):
+    """value, if it is an instance of one of types; TypeError otherwise."""
+    if not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"a {what} must be {names}, not {type(value).__name__}")
+    return value
+
+
 def _clean(terms: dict) -> dict:
     """The nonzero terms of an accumulator, integral Fractions as int."""
     return {k: c if type(c) is int else _norm_coeff(c) for k, c in terms.items() if c}
@@ -86,14 +94,19 @@ class VarId:
         key = (name, indices)
         got = cls._cache.get(key)
         if got is not None:
-            return got
+            # 1.0 == 1 finds a[1] too, so only int indices may take the hit.
+            for i in indices:
+                if type(i) is not int:
+                    break
+            else:
+                return got
         if not re.fullmatch(_NAME, name, re.ASCII):
             raise ValueError(f"bad variable name: {name!r}")
-        if len(indices) > 2 or any(not isinstance(i, int) or i < 0 for i in indices):
+        if len(indices) > 2 or any(type(i) is not int or i < 0 for i in indices):
             raise ValueError(f"bad variable indices: {indices!r}")
         self = super().__new__(cls)
         self.name = name
-        self.indices = tuple(int(i) for i in indices)
+        self.indices = indices
         self._key = (self.name, self.indices)
         self._hash = hash(self._key)
         cls._cache[key] = self
@@ -134,7 +147,7 @@ class Monomial:
     __slots__ = ("exps", "degree", "_hash")
 
     def __init__(self, exps: Iterable[tuple[VarId, int]] = ()):
-        pairs = sorted((v, int(e)) for v, e in exps if e != 0)
+        pairs = sorted((v, int(e)) for v, e in exps if _checked(e, (int,), "monomial exponent"))
         if any(e < 0 for _, e in pairs):
             raise ValueError("negative exponent")
         if len({v for v, _ in pairs}) != len(pairs):
@@ -244,10 +257,8 @@ class _SlotRegistry:
         return u
 
     def key(self, m: Monomial) -> int:
-        if not isinstance(m, Monomial):
-            raise TypeError(f"a term is keyed by a Monomial, not {type(m).__name__}")
         key = 0
-        for v, e in m.exps:
+        for v, e in _checked(m, (Monomial,), "term key").exps:
             if e > MAX_EXPONENT:
                 raise OverflowError(f"exponent {e} of {v} exceeds {MAX_EXPONENT}")
             key += e * self.unit(v)
@@ -340,7 +351,7 @@ class Polynomial:
         out: dict[int, Rat] = {}
         if terms:
             for m, c in terms.items():
-                c = _norm_coeff(c)
+                c = _norm_coeff(_checked(c, (int, Fraction), "coefficient"))
                 if c != 0:
                     out[_SLOTS.key(m)] = c
         self.terms = out
@@ -350,7 +361,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, c: Rat) -> "Polynomial":
-        c = c if type(c) is int else _norm_coeff(Fraction(c))
+        c = c if type(c) is int else _norm_coeff(_checked(c, (int, Fraction), "coefficient"))
         return cls._raw({0: c} if c else {})
 
     @classmethod
@@ -374,6 +385,11 @@ class Polynomial:
         if isinstance(value, (int, Fraction)):
             return Polynomial.const(value)
         return NotImplemented  # type: ignore[return-value]
+
+    @staticmethod
+    def _coerce_or_raise(value) -> "Polynomial":
+        """value as a Polynomial; unlike _coerce, raises TypeError if it cannot be."""
+        return Polynomial._coerce(_checked(value, (Polynomial, int, Fraction), "polynomial value"))
 
     def __add__(self, other):
         other = Polynomial._coerce(other)
@@ -400,7 +416,7 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        return Polynomial._coerce(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = Polynomial._coerce(other)
@@ -468,13 +484,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_integer(self) -> bool:
-        """True iff every coefficient has denominator 1."""
-        return all(isinstance(c, int) for c in self.terms.values())
-
-    def coefficientwise_nonneg(self) -> bool:
-        return all(c >= 0 for c in self.terms.values())
-
     def items(self) -> list[tuple[Monomial, Rat]]:
         """The terms as (Monomial, coefficient) pairs, in no set order."""
         return [(_SLOTS.monomial(k), c) for k, c in self.terms.items()]
@@ -510,7 +519,7 @@ class Polynomial:
         """Ring-homomorphic image; unbound variables pass through."""
         if not bindings:
             return self
-        images = {v: Polynomial._coerce(p) for v, p in bindings.items()}
+        images = {v: Polynomial._coerce_or_raise(p) for v, p in bindings.items()}
         powers: dict[tuple[VarId, int], Polynomial] = {}
 
         def power(v: VarId, e: int) -> Polynomial:
@@ -559,42 +568,6 @@ class Polynomial:
         if any(e == 0 for _, e, _ in terms):
             raise ValueError(f"not divisible by {v}")
         return Polynomial._raw({k - unit: c for k, _, c in terms})
-
-    def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact polynomial division; raises ValueError on nonzero remainder.
-
-        Long division by leading terms in the order of the keys, which is
-        a lexicographic monomial order (an exact quotient does not depend
-        on the order).  Only valid (and only terminating with zero
-        remainder) when the divisor divides self.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        quotient: dict[int, Rat] = {}
-        rem = dict(self.terms)
-        lead_k = max(divisor.terms)
-        lead_c = Fraction(divisor.terms[lead_k])
-        guards = _SLOTS.guards
-        while rem:
-            k = max(rem)
-            # Each slot of k + guards - lead_k keeps its guard bit exactly
-            # when lead_k's exponent there is at most k's.
-            shifted = k + guards - lead_k
-            if shifted & guards != guards:
-                raise ValueError("not exactly divisible")
-            qk = shifted - guards
-            qc = _norm_coeff(Fraction(rem[k]) / lead_c)
-            quotient[qk] = qc
-            for dk, dc in divisor.terms.items():
-                key = dk + qk
-                if key & guards:
-                    raise OverflowError(f"a product has an exponent above {MAX_EXPONENT}")
-                s = rem.get(key, 0) - dc * qc
-                if s == 0:
-                    rem.pop(key, None)
-                else:
-                    rem[key] = _norm_coeff(s)
-        return Polynomial._raw(quotient)
 
     def reversed_in(self, v: VarId, n: int) -> "Polynomial":
         """Degree-n reversal in v: sum c_k v^k  ->  sum c_k v^(n-k)."""
@@ -718,7 +691,7 @@ class Series:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Polynomial | Rat]):
-        cs = [Polynomial._coerce(c) for c in coeffs]
+        cs = [Polynomial._coerce_or_raise(c) for c in coeffs]
         if len(cs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(cs)}")
         if T_VAR in _SLOTS.units and any(c.contains_var(T_VAR) for c in cs):
@@ -789,7 +762,7 @@ class Series:
         return Series(n, [Polynomial._raw(_clean(d)) for d in acc])
 
     def scale(self, p: Polynomial | Rat) -> "Series":
-        p = Polynomial._coerce(p)
+        p = Polynomial._coerce_or_raise(p)
         return Series(self.order, [c * p for c in self.coeffs])
 
     def shift(self) -> "Series":

@@ -177,7 +177,7 @@ def invert_sequence(a: Sequence[Polynomial | int], order: int) -> list[Polynomia
     """
     if order < 0:
         raise ValueError(f"inversion order must be nonnegative, got {order}")
-    coerced = [Polynomial._coerce(p) for p in a]
+    coerced = [Polynomial._coerce_or_raise(p) for p in a]
     if not coerced or coerced[0] != Polynomial.one():
         raise ValueError("inversion needs a_0 = 1")
     if len(coerced) <= order:

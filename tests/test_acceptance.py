@@ -149,7 +149,7 @@ def test_criterion_04_schroeder_bijection(capsys):
             lp = matching_to_path(sm)
             assert satisfies_bounds(lp)
             assert path_to_matching(lp) == sm
-            assert verify_heights(sm)
+            assert verify_heights(sm, lp.path)
             assert verify_statistics(sm)
             forward_image.add(lp)
         legal = set(enumerate_labeled_schroeder2(2 * n))

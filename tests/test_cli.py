@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -312,3 +313,28 @@ def test_output_matches_golden_file(capsys, argv, golden):
     code, out = invoke(capsys, *argv)
     assert code == 0
     assert out.encode() == (DATA / golden).read_bytes()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """The ``$ wardcf ...`` lines of the README's Examples block, each with
+    the output lines that follow it."""
+    block = README.read_text().split("Examples:", 1)[1].split("```bash\n", 1)[1]
+    examples = []
+    for line in block.split("```", 1)[0].splitlines():
+        if line.startswith("$ wardcf "):
+            examples.append((shlex.split(line)[2:], []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_examples_print_what_they_show(capsys, monkeypatch):
+    monkeypatch.delenv("WARDCF_MAX_N", raising=False)
+    examples = readme_examples()
+    assert len(examples) == 5
+    for argv, expected in examples:
+        code, out = invoke(capsys, *argv)
+        assert (code, out.splitlines()) == (0, expected), argv

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,14 +13,21 @@ from wardcf.hankel import (
     _packed_section,
     _unpack,
     all_minors_nonneg,
-    det_bareiss,
-    det_cofactor,
     e2_reversed_sequence,
     generalized_ward_sequence,
     hankel_section,
     ward_sequence,
 )
-from wardcf.poly import Monomial, Polynomial, VarId, parse_poly, var
+from wardcf.poly import (
+    _SLOTS,
+    MAX_EXPONENT,
+    Monomial,
+    Polynomial,
+    VarId,
+    _norm_coeff,
+    parse_poly,
+    var,
+)
 
 x = var("x")
 z = var("z")
@@ -27,6 +35,106 @@ z = var("z")
 
 def const_seq(values):
     return lambda n: Polynomial.const(values[n])
+
+
+# -- reference determinants on Polynomial matrices --------------------------------------
+#
+# The scan is checked against these: expansion along the first row, and
+# fraction-free (Bareiss) elimination with exact polynomial division.
+
+
+def coefficientwise_nonneg(p):
+    return all(c >= 0 for c in p.terms.values())
+
+
+def divide_exact(p, divisor):
+    """Exact polynomial division; raises ValueError on nonzero remainder.
+
+    Long division by leading terms in the order of the keys, which is
+    a lexicographic monomial order (an exact quotient does not depend
+    on the order).  Only valid (and only terminating with zero
+    remainder) when the divisor divides p.
+    """
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    quotient = {}
+    rem = dict(p.terms)
+    lead_k = max(divisor.terms)
+    lead_c = Fraction(divisor.terms[lead_k])
+    guards = _SLOTS.guards
+    while rem:
+        k = max(rem)
+        # Each slot of k + guards - lead_k keeps its guard bit exactly
+        # when lead_k's exponent there is at most k's.
+        shifted = k + guards - lead_k
+        if shifted & guards != guards:
+            raise ValueError("not exactly divisible")
+        qk = shifted - guards
+        qc = _norm_coeff(Fraction(rem[k]) / lead_c)
+        quotient[qk] = qc
+        for dk, dc in divisor.terms.items():
+            key = dk + qk
+            if key & guards:
+                raise OverflowError(f"a product has an exponent above {MAX_EXPONENT}")
+            s = rem.get(key, 0) - dc * qc
+            if s == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = _norm_coeff(s)
+    return Polynomial._raw(quotient)
+
+
+def det_cofactor(matrix):
+    """Expansion along the first row; exponential, for cross-checks."""
+    size = len(matrix)
+    if size == 0:
+        return Polynomial.one()
+    if size == 1:
+        return matrix[0][0]
+    total = Polynomial.zero()
+    for j in range(size):
+        if matrix[0][j].is_zero():
+            continue
+        minor = [
+            [row[c] for c in range(size) if c != j] for row in matrix[1:]
+        ]
+        piece = matrix[0][j] * det_cofactor(minor)
+        total = total + piece if j % 2 == 0 else total - piece
+    return total
+
+
+def det_bareiss(matrix):
+    """Fraction-free elimination with exact polynomial division."""
+    size = len(matrix)
+    if size == 0:
+        return Polynomial.one()
+    a = [[p for p in row] for row in matrix]
+    sign = 1
+    prev = Polynomial.one()
+    for k in range(size - 1):
+        if a[k][k].is_zero():
+            pivot_row = next(
+                (r for r in range(k + 1, size) if not a[r][k].is_zero()), None
+            )
+            if pivot_row is None:
+                return Polynomial.zero()
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = divide_exact(num, prev)
+            a[i][k] = Polynomial.zero()
+        prev = a[k][k]
+    det = a[size - 1][size - 1]
+    return det if sign == 1 else -det
+
+
+def test_divide_exact():
+    p = (x + z) * (x**2 - z + 3)
+    assert divide_exact(p, x + z) == x**2 - z + 3
+    with pytest.raises(ValueError):
+        divide_exact(x + 1, z)
 
 
 def test_hankel_section_shape():
@@ -172,7 +280,7 @@ def memoized_minors_nonneg(h, r_max):
         for rows in subsets:
             for cols in subsets:
                 value = minor(rows, cols)
-                if not value.coefficientwise_nonneg():
+                if not coefficientwise_nonneg(value):
                     return False, (rows, cols, value)
     return True, None
 

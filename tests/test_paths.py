@@ -210,14 +210,22 @@ def test_path_to_matching_rejects_bad_labels():
 
 
 def test_verify_heights_and_statistics():
-    assert verify_heights(EXAMPLE)
+    assert verify_heights(EXAMPLE, matching_to_path(EXAMPLE).path)
     assert verify_statistics(EXAMPLE)
     bare = SuperMatching(PerfectMatching.from_pairs([(1, 2)]))
-    assert verify_heights(bare)
+    assert verify_heights(bare, matching_to_path(bare).path)
     for n in range(5):
         for sm in enumerate_super(n):
-            assert verify_heights(sm)
+            assert verify_heights(sm, matching_to_path(sm).path)
             assert verify_statistics(sm)
+    # The nested matching rises to height 2; the path of two arches in a
+    # row does not.  Each side fails against the other's path.
+    nested = SuperMatching(PerfectMatching.from_pairs([(1, 4), (2, 3)]))
+    in_a_row = SuperMatching(PerfectMatching.from_pairs([(1, 2), (3, 4)]))
+    assert not verify_heights(nested, matching_to_path(in_a_row).path)
+    assert not verify_heights(in_a_row, matching_to_path(nested).path)
+    # A shorter path is not the matching's, though its heights fit a prefix.
+    assert not verify_heights(in_a_row, matching_to_path(bare).path)
 
 
 def test_statistics_on_example_vertex_8():
