@@ -1,4 +1,5 @@
-"""Truncated expansion of S-, J- and T-type continued fractions.
+"""Truncated expansion of S-, J- and T-type continued fractions, and the
+statement of every T-fraction the paper proves.
 
 A T-fraction with coefficient sequences alpha (1-indexed) and delta
 (1-indexed) is the formal power series
@@ -7,11 +8,15 @@ A T-fraction with coefficient sequences alpha (1-indexed) and delta
 
 S-fractions are the delta = 0 case; J-fractions carry gamma (0-indexed)
 level weights and beta (1-indexed) weights on t^2.  All three are expanded
-by one bottom-up ladder of series reciprocals with finite depth (T: level
+by one bottom-up ladder of series reciprocals, order levels deep (T: level
 delta_{k+1}, fall alpha on t; J: level gamma_k, fall beta on t^2; S: a T
 case): every level contributes at least one power of t, so the level
-f_order enters f_0 only through its constant term 1, at t^order, and any
-depth >= order determines the series exactly modulo t^(order+1).
+f_order enters f_0 only through its constant term 1, at t^order, and the
+ladder determines the series exactly modulo t^(order+1).
+
+The stated fractions are the named families behind ``expand``, Theorem 1.2's
+five-variable one and Corollary 2.3's 18- and 12-variable ones; the counts
+they are checked against are in ``matchings``.
 """
 
 from __future__ import annotations
@@ -41,25 +46,22 @@ class TCoeffs:
     delta: CoeffFn  # i >= 1
 
 
-def _ladder(
-    level: CoeffFn, fall: CoeffFn, power: int, order: int, depth: int | None
-) -> Series:
+def _ladder(level: CoeffFn, fall: CoeffFn, power: int, order: int) -> Series:
     """The bottom-up reciprocal ladder shared by T-, S- and J-fractions.
 
     f_k = 1 / (1 - level(k) t - fall(k+1) t^power f_{k+1}) for k from
-    depth-1 down to 0, starting from f_depth = 1; the result is f_0.  f_k
+    order-1 down to 0, starting from f_order = 1; the result is f_0.  f_k
     only influences coefficients of t^k and above, so it is computed at the
-    reduced order max(order - k, 0).
+    reduced order order - k.
     """
-    levels = order if depth is None else depth
     # Shallow levels first: their variables occur in every term, and a
     # variable's slot in a polynomial key follows its first use, so this
     # keeps the keys short.
-    weights = [(level(k), fall(k + 1)) for k in range(levels)]
-    f = Series.one(max(order - levels, 0))
-    for k in range(levels - 1, -1, -1):
-        target = max(order - k, 0)
-        # f has order max(target - 1, 0), so t^power * f covers 0..target.
+    weights = [(level(k), fall(k + 1)) for k in range(order)]
+    f = Series.one(0)
+    for k in range(order - 1, -1, -1):
+        target = order - k
+        # f has order target - 1, so t^power * f covers 0..target.
         tail = Series(target, ((Polynomial.zero(),) * power + f.coeffs)[: target + 1])
         body = (
             Series.one(target)
@@ -70,23 +72,23 @@ def _ladder(
     return f
 
 
-def expand_T(seq: TCoeffs, order: int, depth: int | None = None) -> Series:
+def expand_T(seq: TCoeffs, order: int) -> Series:
     """Expand a T-fraction to a Series of the given truncation order.
 
-    depth overrides the number of levels (default order); any depth
-    >= order yields the same truncated series.
+    The expansion reads alpha_i and delta_i for 1 <= i <= order only, and
+    its coefficients are exact: expanding deeper changes none of them.
     """
-    return _ladder(lambda k: seq.delta(k + 1), seq.alpha, 1, order, depth)
+    return _ladder(lambda k: seq.delta(k + 1), seq.alpha, 1, order)
 
 
-def expand_S(alpha: CoeffFn, order: int, depth: int | None = None) -> Series:
-    return expand_T(TCoeffs(alpha, _zero), order, depth)
+def expand_S(alpha: CoeffFn, order: int) -> Series:
+    return expand_T(TCoeffs(alpha, _zero), order)
 
 
-def expand_J(gamma: CoeffFn, beta: CoeffFn, order: int, depth: int | None = None) -> Series:
-    """Expand a J-fraction 1 / (1 - gamma_0 t - beta_1 t^2 / (1 - gamma_1 t - ...));
-    depth works as in expand_T."""
-    return _ladder(gamma, beta, 2, order, depth)
+def expand_J(gamma: CoeffFn, beta: CoeffFn, order: int) -> Series:
+    """Expand a J-fraction 1 / (1 - gamma_0 t - beta_1 t^2 / (1 - gamma_1 t - ...))
+    as expand_T does a T-fraction."""
+    return _ladder(gamma, beta, 2, order)
 
 
 def contract_T_to_J(seq: TCoeffs) -> JCoeffs:
@@ -136,7 +138,8 @@ def euler_identity_check(alpha: CoeffFn, order: int) -> bool:
 # -- named coefficient families ------------------------------------------------
 #
 # The registry backs the command-line `expand` verb and reappears across the
-# verification suites.
+# verification suites.  Every builder creates its variables when called, never
+# at import: a variable's slot in a polynomial key follows its first use.
 
 def _ward() -> TCoeffs:
     x = var("x")
@@ -148,9 +151,13 @@ def _ward_reversed() -> TCoeffs:
     return TCoeffs(lambda i: Polynomial.const(i), lambda i: (i - 1) * x)
 
 
-def _generalized_ward() -> TCoeffs:
-    x, u, z, w = var("x"), var("u"), var("z"), var("w")
+def _linear(x: Polynomial, u: Polynomial, z: Polynomial, w: Polynomial) -> TCoeffs:
+    """alpha_i = x + (i-1)u, delta_i = z + (i-1)w."""
     return TCoeffs(lambda i: x + (i - 1) * u, lambda i: z + (i - 1) * w)
+
+
+def _generalized_ward() -> TCoeffs:
+    return _linear(var("x"), var("u"), var("z"), var("w"))
 
 
 def _semifactorial() -> TCoeffs:
@@ -188,3 +195,99 @@ def named_family(name: str) -> TCoeffs:
         return FAMILIES[name]()
     except KeyError:
         raise ValueError(f"unknown coefficient family {name!r}") from None
+
+
+# -- the fractions of Theorem 1.2 and Corollary 2.3, which `expand` does not offer --
+
+
+def tfraction_5var() -> TCoeffs:
+    """Theorem 1.2: the generalized-ward fraction with w = w' + w'', matching
+    generalized_ward_oracle."""
+    return _linear(var("x"), var("u"), var("z"), var("w'") + var("w''"))
+
+
+def pq_bracket(n: int, p: Polynomial, q: Polynomial) -> Polynomial:
+    """sum_{j=0}^{n-1} p^j q^(n-1-j), the (p,q)-analogue of the integer n."""
+    return Polynomial.sum(p**j * q ** (n - 1 - j) for j in range(n))
+
+
+def _pq_line(m: int, p: Polynomial, q: Polynomial, x: Polynomial, u: Polynomial) -> Polynomial:
+    """p^m x + q [m]_{p,q} u: the sum over cr + ne = m of p^cr q^ne times x
+    when ne = 0 and u otherwise, as the m + 1 labels of one closing step."""
+    return p**m * x + q * pq_bracket(m, p, q) * u
+
+
+def tfraction_18var() -> TCoeffs:
+    """Coefficient sequences matching poly_18var.
+
+    Odd and even levels carry the x/u resp. y/v pairs; the wiggly and
+    dashed families contribute to the level weights one resp. zero steps
+    behind, with delta_1 = x''.
+    """
+    x, y, u, v = var("x"), var("y"), var("u"), var("v")
+    xp, yp, up, vp = var("x'"), var("y'"), var("u'"), var("v'")
+    xpp, ypp, upp, vpp = var("x''"), var("y''"), var("u''"), var("v''")
+    p, q = var("p"), var("q")
+    pp, qp = var("p'"), var("q'")
+    ppp, qpp = var("p''"), var("q''")
+
+    def alpha(i: int) -> Polynomial:
+        if i % 2 == 1:
+            return _pq_line(i - 1, p, q, x, u)
+        return _pq_line(i - 1, p, q, y, v)
+
+    def delta(i: int) -> Polynomial:
+        if i == 1:
+            return xpp
+        if i % 2 == 1:
+            return _pq_line(i - 2, pp, qp, yp, vp) + _pq_line(i - 1, ppp, qpp, xpp, upp)
+        return _pq_line(i - 2, pp, qp, xp, up) + _pq_line(i - 1, ppp, qpp, ypp, vpp)
+
+    return TCoeffs(alpha, delta)
+
+
+def tfraction_12var() -> TCoeffs:
+    """Coefficient sequences matching poly_12var (parity forgotten)."""
+    x, u = var("x"), var("u")
+    xp, up = var("x'"), var("u'")
+    xpp, upp = var("x''"), var("u''")
+    p, q = var("p"), var("q")
+    pp, qp = var("p'"), var("q'")
+    ppp, qpp = var("p''"), var("q''")
+
+    def delta(i: int) -> Polynomial:
+        if i == 1:
+            return xpp
+        return _pq_line(i - 2, pp, qp, xp, up) + _pq_line(i - 1, ppp, qpp, xpp, upp)
+
+    return TCoeffs(lambda i: _pq_line(i - 1, p, q, x, u), delta)
+
+
+def tfraction_12var_bis1() -> TCoeffs:
+    """The u' = x' collapse of tfraction_12var."""
+    base = tfraction_12var()
+    xp = var("x'")
+    pp, qp = var("p'"), var("q'")
+    xpp, upp = var("x''"), var("u''")
+    ppp, qpp = var("p''"), var("q''")
+
+    def delta(i: int) -> Polynomial:
+        return pq_bracket(i - 1, pp, qp) * xp + _pq_line(i - 1, ppp, qpp, xpp, upp)
+
+    return TCoeffs(base.alpha, delta)
+
+
+def tfraction_12var_bis2() -> TCoeffs:
+    """The further u = x and u'' = x'' collapse."""
+    x, xp, xpp = var("x"), var("x'"), var("x''")
+    p, q = var("p"), var("q")
+    pp, qp = var("p'"), var("q'")
+    ppp, qpp = var("p''"), var("q''")
+
+    def alpha(i: int) -> Polynomial:
+        return pq_bracket(i, p, q) * x
+
+    def delta(i: int) -> Polynomial:
+        return pq_bracket(i - 1, pp, qp) * xp + pq_bracket(i, ppp, qpp) * xpp
+
+    return TCoeffs(alpha, delta)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
+from . import contfrac
 from .matchings import count_Mprime
 from .poly import Polynomial, VarId, var
 from .ward import ward_reversed
@@ -88,7 +89,5 @@ def clop_equals_eulerian(n: int) -> bool:
 def e2_reversed_tfraction_check(order: int) -> bool:
     """The T-fraction with alpha_i = i, delta_i = (i-1)(x-1) generates the
     reversed second-order Eulerian polynomials."""
-    from .contfrac import expand_T, named_family
-
-    s = expand_T(named_family("eulerian2-reversed"), order)
+    s = contfrac.expand_T(contfrac.named_family("eulerian2-reversed"), order)
     return all(s.coefficient(n) == E2_reversed(n) for n in range(order + 1))

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
+from .eulerian import E2_reversed
 from .poly import Monomial, Polynomial, Rat, VarId
+from .ward import generalized_ward_cf, ward_poly
 
 
 @dataclass(frozen=True)
@@ -144,18 +146,12 @@ LARGE_SECTION_BUDGET = 6
 
 
 def ward_sequence(n: int) -> Polynomial:
-    from .ward import ward_poly
-
     return ward_poly(n)
 
 
 def generalized_ward_sequence(n: int) -> Polynomial:
-    from .ward import generalized_ward_cf
-
     return generalized_ward_cf(n)[n]
 
 
 def e2_reversed_sequence(n: int) -> Polynomial:
-    from .eulerian import E2_reversed
-
     return E2_reversed(n)

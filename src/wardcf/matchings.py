@@ -29,6 +29,8 @@ an exponent overflow before it becomes a Polynomial.  The counts read one
 histogram of closer/opener adjacencies per n.  The brute sums over
 enumerate_super / enumerate_augmented are their references in the tests.
 master_poly_T / master_poly_S still sum super_weight over the enumeration.
+The fractions these counts are checked against are stated in ``contfrac``;
+this module imports nothing of the package but ``poly``.
 """
 
 from __future__ import annotations
@@ -515,117 +517,6 @@ def poly_12var(n: int) -> Polynomial:
     """poly_18var with the even/odd distinction forgotten (y, v -> x, u in
     every class), from its own sweep."""
     return _record_poly(n, tuple((x, x, u, u, p, q) for x, _, u, _, p, q in _CLASSES_18))
-
-
-def pq_bracket(n: int, p: Polynomial, q: Polynomial) -> Polynomial:
-    """sum_{j=0}^{n-1} p^j q^(n-1-j), the (p,q)-analogue of the integer n."""
-    return Polynomial.sum(p**j * q ** (n - 1 - j) for j in range(n))
-
-
-def tfraction_18var():
-    """Coefficient sequences matching poly_18var.
-
-    Odd and even levels carry the x/u resp. y/v pairs; the wiggly and
-    dashed families contribute to the level weights one resp. zero steps
-    behind, with delta_1 = x''.
-    """
-    from .contfrac import TCoeffs
-
-    x, y, u, v = var("x"), var("y"), var("u"), var("v")
-    xp, yp, up, vp = var("x'"), var("y'"), var("u'"), var("v'")
-    xpp, ypp, upp, vpp = var("x''"), var("y''"), var("u''"), var("v''")
-    p, q = var("p"), var("q")
-    pp, qp = var("p'"), var("q'")
-    ppp, qpp = var("p''"), var("q''")
-
-    def alpha(i: int) -> Polynomial:
-        if i % 2 == 1:
-            return p ** (i - 1) * x + q * pq_bracket(i - 1, p, q) * u
-        return p ** (i - 1) * y + q * pq_bracket(i - 1, p, q) * v
-
-    def delta(i: int) -> Polynomial:
-        if i == 1:
-            return xpp
-        if i % 2 == 1:
-            return (
-                pp ** (i - 2) * yp
-                + qp * pq_bracket(i - 2, pp, qp) * vp
-                + ppp ** (i - 1) * xpp
-                + qpp * pq_bracket(i - 1, ppp, qpp) * upp
-            )
-        return (
-            pp ** (i - 2) * xp
-            + qp * pq_bracket(i - 2, pp, qp) * up
-            + ppp ** (i - 1) * ypp
-            + qpp * pq_bracket(i - 1, ppp, qpp) * vpp
-        )
-
-    return TCoeffs(alpha, delta)
-
-
-def tfraction_12var():
-    """Coefficient sequences matching poly_12var (parity forgotten)."""
-    from .contfrac import TCoeffs
-
-    x, u = var("x"), var("u")
-    xp, up = var("x'"), var("u'")
-    xpp, upp = var("x''"), var("u''")
-    p, q = var("p"), var("q")
-    pp, qp = var("p'"), var("q'")
-    ppp, qpp = var("p''"), var("q''")
-
-    def alpha(i: int) -> Polynomial:
-        return p ** (i - 1) * x + q * pq_bracket(i - 1, p, q) * u
-
-    def delta(i: int) -> Polynomial:
-        if i == 1:
-            return xpp
-        return (
-            pp ** (i - 2) * xp
-            + qp * pq_bracket(i - 2, pp, qp) * up
-            + ppp ** (i - 1) * xpp
-            + qpp * pq_bracket(i - 1, ppp, qpp) * upp
-        )
-
-    return TCoeffs(alpha, delta)
-
-
-def tfraction_12var_bis1():
-    """The u' = x' collapse of tfraction_12var."""
-    from .contfrac import TCoeffs
-
-    base = tfraction_12var()
-    xp = var("x'")
-    pp, qp = var("p'"), var("q'")
-    xpp, upp = var("x''"), var("u''")
-    ppp, qpp = var("p''"), var("q''")
-
-    def delta(i: int) -> Polynomial:
-        return (
-            pq_bracket(i - 1, pp, qp) * xp
-            + ppp ** (i - 1) * xpp
-            + qpp * pq_bracket(i - 1, ppp, qpp) * upp
-        )
-
-    return TCoeffs(base.alpha, delta)
-
-
-def tfraction_12var_bis2():
-    """The further u = x and u'' = x'' collapse."""
-    from .contfrac import TCoeffs
-
-    x, xp, xpp = var("x"), var("x'"), var("x''")
-    p, q = var("p"), var("q")
-    pp, qp = var("p'"), var("q'")
-    ppp, qpp = var("p''"), var("q''")
-
-    def alpha(i: int) -> Polynomial:
-        return pq_bracket(i, p, q) * x
-
-    def delta(i: int) -> Polynomial:
-        return pq_bracket(i - 1, pp, qp) * xp + pq_bracket(i, ppp, qpp) * xpp
-
-    return TCoeffs(alpha, delta)
 
 
 def generalized_ward_oracle(n: int) -> Polynomial:

@@ -35,6 +35,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Optional
 
+# Called through their modules, so that a substituted contfrac.expand_J or
+# matchings.qne is the one that runs.
+from . import contfrac, matchings
 from .matchings import IndexedWeights, PerfectMatching, SuperMatching, star
 from .poly import Polynomial, Series
 
@@ -271,8 +274,6 @@ def flajolet_check(order: int, w: FlajoletWeights) -> bool:
     S for Dyck (alpha_i = a_{i-1} b_i), and T for 2-colored Schroeder
     (alpha_i = a_{i-1} b_i, delta_i = c_{i-1} + c2_{i-1}).
     """
-    from .contfrac import TCoeffs, expand_J, expand_S, expand_T
-
     def path_sum(enumerate_paths, steps_per_n: int) -> Series:
         return Series(order, [
             Polynomial.sum(flajolet_weight(p, w) for p in enumerate_paths(steps_per_n * n))
@@ -280,12 +281,14 @@ def flajolet_check(order: int, w: FlajoletWeights) -> bool:
         ])
 
     alpha = lambda i: w.rise(i - 1) * w.fall(i)
-    if path_sum(enumerate_motzkin, 1) != expand_J(w.level, alpha, order):
+    if path_sum(enumerate_motzkin, 1) != contfrac.expand_J(w.level, alpha, order):
         return False
-    if path_sum(enumerate_dyck, 2) != expand_S(alpha, order):
+    if path_sum(enumerate_dyck, 2) != contfrac.expand_S(alpha, order):
         return False
     delta = lambda i: w.level(i - 1) + w.level2(i - 1)
-    return path_sum(enumerate_schroeder2, 2) == expand_T(TCoeffs(alpha, delta), order)
+    return path_sum(enumerate_schroeder2, 2) == contfrac.expand_T(
+        contfrac.TCoeffs(alpha, delta), order
+    )
 
 
 # -- the bijection ----------------------------------------------------------------------
@@ -403,8 +406,6 @@ def verify_statistics(sm: SuperMatching) -> bool:
     cr(i) = h_{i-1} - label, ne(i) = label - 1.  Dashed pairs:
     cr(i+1) = h_{i-1} + 1 - label, ne(i+1) = label - 1.
     """
-    from .matchings import cr, ne, qne
-
     pm = sm.base
     lp = matching_to_path(sm)
     heights = lp.path.heights
@@ -415,13 +416,13 @@ def verify_statistics(sm: SuperMatching) -> bool:
         h = heights[i - 1]
         xi = lp.labels[i - 1]
         if s == RISE:
-            if qne(i, pm) != h:
+            if matchings.qne(i, pm) != h:
                 return False
         elif s in (FALL, LL1):
-            if cr(i, pm) != h - xi or ne(i, pm) != xi - 1:
+            if matchings.cr(i, pm) != h - xi or matchings.ne(i, pm) != xi - 1:
                 return False
         else:
-            if cr(i + 1, pm) != h + 1 - xi or ne(i + 1, pm) != xi - 1:
+            if matchings.cr(i + 1, pm) != h + 1 - xi or matchings.ne(i + 1, pm) != xi - 1:
                 return False
     return True
 

@@ -59,16 +59,18 @@ def generalized_ward_cf(order: int) -> list[Polynomial]:
     return [s.coefficient(n) for n in range(order + 1)]
 
 
-def check_prop_B1(order: int) -> bool:
+# The Appendix B checks take W_0..W_n from one generalized_ward_cf(n).
+
+
+def check_prop_B1(ws: Sequence[Polynomial]) -> bool:
     """Nonlinear differential recurrence for the four-variable family:
 
     W_n = [n=0] + (z+nu) W_{n-1}
           + (u+w)(u dW_{n-1}/du + x dW_{n-1}/dx)
           + (x-u) sum_{j=0}^{n-1} W_j W_{n-1-j}.
     """
-    ws = generalized_ward_cf(order)
     x, u, z, w = var("x"), var("u"), var("z"), var("w")
-    for n in range(order + 1):
+    for n in range(len(ws)):
         if n == 0:
             if ws[0] != Polynomial.one():
                 return False
@@ -84,7 +86,7 @@ def check_prop_B1(order: int) -> bool:
     return True
 
 
-def check_cor_B2(order: int) -> bool:
+def check_cor_B2(ws: Sequence[Polynomial]) -> bool:
     """Linear recurrences of the u = x specialization, in both forms.
 
     P_n = W_n(x,x,z,w) satisfies
@@ -94,7 +96,8 @@ def check_cor_B2(order: int) -> bool:
     The z=0, w=1 specialization must collapse to the integer triangle.
     """
     x, z, w = var("x"), var("z"), var("w")
-    ps = [p.substitute({U: x}) for p in generalized_ward_cf(order)]
+    ps = [p.substitute({U: x}) for p in ws]
+    order = len(ps) - 1
     for n in range(order + 1):
         if n == 0:
             if ps[0] != Polynomial.one():
@@ -116,14 +119,14 @@ def check_cor_B2(order: int) -> bool:
     return all(ps[n].substitute(sub) == ward_poly(n) for n in range(order + 1))
 
 
-def check_cor_B3(order: int) -> bool:
+def check_cor_B3(ws: Sequence[Polynomial]) -> bool:
     """Nonlinear recurrence of the w = -u specialization:
 
     Q_n = [n=0] + (z+nu) Q_{n-1} + (x-u) sum Q_j Q_{n-1-j}.
     """
     x, u, z = var("x"), var("u"), var("z")
-    qs = [p.substitute({W: -u}) for p in generalized_ward_cf(order)]
-    for n in range(order + 1):
+    qs = [p.substitute({W: -u}) for p in ws]
+    for n in range(len(qs)):
         if n == 0:
             if qs[0] != Polynomial.one():
                 return False
@@ -136,15 +139,15 @@ def check_cor_B3(order: int) -> bool:
     return True
 
 
-def check_cor_B4(order: int) -> bool:
+def check_cor_B4(ws: Sequence[Polynomial]) -> bool:
     """Riccati-type identity for the u = 0 specialization, as a truncated
     series identity:  H = 1 + ztH + wxt dH/dx + xt H^2."""
     x, z, w = var("x"), var("z"), var("w")
-    hs = [p.substitute({U: Polynomial.zero()}) for p in generalized_ward_cf(order)]
-    h = Series(order, hs)
+    hs = [p.substitute({U: Polynomial.zero()}) for p in ws]
+    h = Series(len(hs) - 1, hs)
     hx = h.map_coeffs(lambda c: c.deriv(X))
     rhs = (
-        Series.one(order)
+        Series.one(h.order)
         + h.shift().scale(z)
         + hx.shift().scale(w * x)
         + (h * h).shift().scale(x)

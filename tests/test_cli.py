@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from wardcf import matchings
 from wardcf.cli import run
 
 
@@ -99,7 +100,7 @@ def test_verify_failure_prints_fail_and_exits_1(capsys, monkeypatch):
 
     monkeypatch.setitem(
         cli.SUITES, "thm2.1",
-        (lambda n, cap: (False, "counterexample: pairs=(1,2); wiggly={}; dashed={}"), False),
+        (lambda n: (False, "counterexample: pairs=(1,2); wiggly={}; dashed={}"), False),
     )
     code, out = invoke(capsys, "verify", "--suite", "thm2.1", "--n", "2")
     assert code == 1
@@ -111,7 +112,30 @@ def test_ward_euler_caps_only_its_enumeration(capsys, monkeypatch):
     monkeypatch.setenv("WARDCF_MAX_N", "2")
     code, out = invoke(capsys, "verify", "--suite", "ward-euler", "--n", "5")
     assert code == 0
-    assert out == "PASS: ward-euler: second-order Eulerian identities verified for n <= 5\n"
+    assert out == (
+        "note: closer/opener check clamped to 2 by WARDCF_MAX_N\n"
+        "PASS: ward-euler: second-order Eulerian identities verified for n <= 5\n"
+    )
+
+
+@pytest.mark.parametrize("cap, note", [("0", True), ("4", True), ("5", False), ("6", False)])
+def test_ward_euler_says_when_it_clamps(capsys, monkeypatch, cap, note):
+    monkeypatch.setenv("WARDCF_MAX_N", cap)
+    code, out = invoke(capsys, "verify", "--suite", "ward-euler", "--n", "5")
+    assert code == 0 and out.endswith("verified for n <= 5\n")
+    assert out.startswith(f"note: closer/opener check clamped to {cap} by WARDCF_MAX_N\n") == note
+
+
+def test_bijection_phylo_fails_when_a_class_goes_missing(capsys, monkeypatch):
+    # An enumeration without the matchings that carry a wiggly line.
+    original = matchings.enumerate_augmented
+    monkeypatch.setattr(
+        matchings, "enumerate_augmented",
+        lambda n: (sm for sm in original(n) if not sm.wiggly),
+    )
+    code, out = invoke(capsys, "verify", "--suite", "bijection-phylo", "--n", "4")
+    assert code == 1
+    assert out.startswith("FAIL: bijection-phylo: count mismatch at n=2, 1 wiggly lines"), out
 
 
 def test_unknown_flag_is_usage_error(capsys):

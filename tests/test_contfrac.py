@@ -118,15 +118,22 @@ def test_euler_identity():
     assert euler_identity_check(lambda i: x**i, 6)
 
 
+def prefix(series, order):
+    """The coefficients of t^0..t^order of series."""
+    return series.coeffs[: order + 1]
+
+
 def test_depth_stability():
+    # Three levels deeper change no coefficient up to the order; master-T
+    # stops at order 3, since its expansion grows steeply past order 6.
     for name in ["ward", "generalized-ward", "eulerian2-reversed", "master-T"]:
         seq = named_family(name)
-        for order in (3, 5):
-            assert expand_T(seq, order) == expand_T(seq, order, depth=order + 3)
+        for order in ((2, 3) if name == "master-T" else (3, 5)):
+            assert expand_T(seq, order).coeffs == prefix(expand_T(seq, order + 3), order)
     alpha = lambda i: Polynomial.const(i)
-    assert expand_S(alpha, 5) == expand_S(alpha, 5, depth=9)
+    assert expand_S(alpha, 5).coeffs == prefix(expand_S(alpha, 8), 5)
     beta = lambda i: Polynomial.const(i)
-    assert expand_J(ZERO, beta, 5) == expand_J(ZERO, beta, 5, depth=8)
+    assert expand_J(ZERO, beta, 5).coeffs == prefix(expand_J(ZERO, beta, 8), 5)
 
 
 def test_default_depth_reads_no_coefficient_past_the_order():
@@ -142,24 +149,24 @@ def test_default_depth_reads_no_coefficient_past_the_order():
 
     a, d = (lambda i: var("a", i)), (lambda i: var("d", i))
     for n in range(7):
-        deep = expand_T(TCoeffs(a, d), n, depth=n + 2)
-        assert expand_T(TCoeffs(upto(n, a), upto(n, d)), n) == deep
-        assert expand_S(upto(n, a), n) == expand_S(a, n, depth=n + 2)
+        deep = prefix(expand_T(TCoeffs(a, d), n + 2), n)
+        assert expand_T(TCoeffs(upto(n, a), upto(n, d)), n).coeffs == deep
+        assert expand_S(upto(n, a), n).coeffs == prefix(expand_S(a, n + 2), n)
 
 
-def test_depth_one_is_the_hand_truncated_fraction():
-    # depth=1 replaces the tail below the first level by 1.
-    a1, d1, c0, b1 = var("a", 1), var("d", 1), var("c", 0), var("b", 1)
-    for order in range(6):
-        t_frac = expand_T(TCoeffs(lambda i: var("a", i), lambda i: var("d", i)), order, depth=1)
-        # 1 / (1 - d1 t - a1 t) = sum (d1 + a1)^n t^n
-        assert t_frac == Series(order, [(d1 + a1) ** n for n in range(order + 1)])
-        j_frac = expand_J(lambda i: var("c", i), lambda i: var("b", i), order, depth=1)
-        # 1 / (1 - c0 t - b1 t^2): e_n = c0 e_(n-1) + b1 e_(n-2)
-        e = [Polynomial.one(), c0]
-        while len(e) <= order:
-            e.append(c0 * e[-1] + b1 * e[-2])
-        assert j_frac == Series(order, e[: order + 1])
+def test_low_orders_match_hand_expansions():
+    a1, a2, d1, d2 = var("a", 1), var("a", 2), var("d", 1), var("d", 2)
+    c0, b1 = var("c", 0), var("b", 1)
+    t_seq = TCoeffs(lambda i: var("a", i), lambda i: var("d", i))
+    # 1 / (1 - d1 t - a1 t (1 + (d2 + a2) t + ...))
+    t2 = [Polynomial.one(), d1 + a1, (d1 + a1) ** 2 + a1 * (d2 + a2)]
+    # 1 / (1 - c0 t - b1 t^2 (1 + c1 t + ...))
+    j2 = [Polynomial.one(), c0, c0**2 + b1]
+    for order in (1, 2):
+        assert expand_T(t_seq, order) == Series(order, t2[: order + 1])
+        assert expand_S(t_seq.alpha, order) == Series(order, [1, a1, a1**2 + a1 * a2][: order + 1])
+        j_frac = expand_J(lambda i: var("c", i), lambda i: var("b", i), order)
+        assert j_frac == Series(order, j2[: order + 1])
 
 
 def test_T_with_zero_delta_equals_S():

@@ -3,7 +3,17 @@ from itertools import combinations
 
 import pytest
 
-from wardcf.contfrac import TCoeffs, expand_S, expand_T, named_family
+from wardcf.contfrac import (
+    TCoeffs,
+    expand_S,
+    expand_T,
+    named_family,
+    pq_bracket,
+    tfraction_12var,
+    tfraction_12var_bis1,
+    tfraction_12var_bis2,
+    tfraction_18var,
+)
 from wardcf.matchings import (
     IndexedWeights,
     _closer_stats,
@@ -28,14 +38,9 @@ from wardcf.matchings import (
     parse_matching,
     poly_12var,
     poly_18var,
-    pq_bracket,
     qne,
     star,
     super_weight,
-    tfraction_12var,
-    tfraction_12var_bis1,
-    tfraction_12var_bis2,
-    tfraction_18var,
 )
 from wardcf.poly import Monomial, Polynomial, VarId, var
 

@@ -98,10 +98,12 @@ def test_generalized_ward_prefix_and_specializations():
 
 
 def test_appendix_recurrence_checks():
-    assert check_prop_B1(8)
-    assert check_cor_B2(8)
-    assert check_cor_B3(8)
-    assert check_cor_B4(8)
+    ws = generalized_ward_cf(8)
+    checks = (check_prop_B1, check_cor_B2, check_cor_B3, check_cor_B4)
+    assert all(check(ws) for check in checks)
+    # each check reads the polynomials it is given
+    wrong = ws[:2] + [ws[2] + 1] + ws[3:]
+    assert not any(check(wrong) for check in checks)
 
 
 def test_triple_agreement_fraction_oracle_recurrence():
