@@ -141,7 +141,7 @@ def _suite_thm11(n: int) -> SuiteResult:
             return False, f"fraction vs triangle at n={m}: {cf} vs {tri}"
         phylo = Polynomial.sum(
             sum(1 for _ in trees.enumerate_phylo(m, k)) * x**k
-            for k in (range(m + 1) if m else (0,))
+            for k in range(m + 1)
         )
         if phylo != tri:
             return False, f"tree count vs triangle at n={m}: {phylo} vs {tri}"
@@ -235,7 +235,7 @@ def _suite_bijection_schroeder(n: int) -> SuiteResult:
 
 
 def _suite_bijection_phylo(n: int) -> SuiteResult:
-    tri = ward.ward_triangle(max(n, 1))
+    tri = ward.ward_triangle(n)
     for m in range(n + 1):
         by_wiggly: dict[int, int] = {}
         for sm in matchings.enumerate_augmented(m):
@@ -305,7 +305,7 @@ def _suite_flajolet(n: int) -> SuiteResult:
 def _suite_contraction(n: int) -> SuiteResult:
     x, z = var("x"), var("z")
     cases = [
-        contfrac.TCoeffs(lambda i: Polynomial.const(i), lambda i: Polynomial.zero()),
+        contfrac.named_family("semifactorial"),
         contfrac.TCoeffs(lambda i: x, lambda i: z if i % 2 == 1 else Polynomial.zero()),
     ]
     for idx, seq in enumerate(cases):
@@ -381,12 +381,10 @@ def _cmd_hankel(args) -> int:
     if not 1 <= r_max <= args.size:
         raise ValueError(f"--rmax must be within 1..{args.size}, got {r_max}")
     if args.size > hankel.LARGE_SECTION_BUDGET and not args.allow_large:
-        print(
-            f"wardcf: size {args.size} exceeds the desk budget"
-            f" {hankel.LARGE_SECTION_BUDGET}; pass --allow-large to run anyway",
-            file=sys.stderr,
+        raise ValueError(
+            f"size {args.size} exceeds the desk budget"
+            f" {hankel.LARGE_SECTION_BUDGET}; pass --allow-large to run anyway"
         )
-        return 2
     section = hankel.hankel_section(_HANKEL_SEQS[args.family], args.size)
     ok, counterexample = hankel.all_minors_nonneg(section, r_max)
     report = {

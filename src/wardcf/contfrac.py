@@ -16,7 +16,12 @@ ladder determines the series exactly modulo t^(order+1).
 
 The stated fractions are the named families behind ``expand``, Theorem 1.2's
 five-variable one and Corollary 2.3's 18- and 12-variable ones; the counts
-they are checked against are in ``matchings``.
+they are checked against are in ``matchings``.  All but master-T and the
+Corollary 2.3 ones are points (x, u, z, w) of the linear fraction
+alpha_i = x + (i-1)u, delta_i = z + (i-1)w (``_linear``): ward (x, x, 0, 1),
+ward-reversed (1, 1, 0, x), generalized-ward (x, u, z, w), semifactorial
+(1, 1, 0, 0), eulerian2-reversed (1, 1, 0, x - 1) and Theorem 1.2's
+(x, u, z, w' + w'').
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ def _ladder(level: CoeffFn, fall: CoeffFn, power: int, order: int) -> Series:
     only influences coefficients of t^k and above, so it is computed at the
     reduced order order - k.
     """
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     # Shallow levels first: their variables occur in every term, and a
     # variable's slot in a polynomial key follows its first use, so this
     # keeps the keys short.
@@ -138,35 +145,13 @@ def euler_identity_check(alpha: CoeffFn, order: int) -> bool:
 # -- named coefficient families ------------------------------------------------
 #
 # The registry backs the command-line `expand` verb and reappears across the
-# verification suites.  Every builder creates its variables when called, never
+# verification suites.  Every entry creates its variables when called, never
 # at import: a variable's slot in a polynomial key follows its first use.
-
-def _ward() -> TCoeffs:
-    x = var("x")
-    return TCoeffs(lambda i: i * x, lambda i: Polynomial.const(i - 1))
-
-
-def _ward_reversed() -> TCoeffs:
-    x = var("x")
-    return TCoeffs(lambda i: Polynomial.const(i), lambda i: (i - 1) * x)
 
 
 def _linear(x: Polynomial, u: Polynomial, z: Polynomial, w: Polynomial) -> TCoeffs:
     """alpha_i = x + (i-1)u, delta_i = z + (i-1)w."""
     return TCoeffs(lambda i: x + (i - 1) * u, lambda i: z + (i - 1) * w)
-
-
-def _generalized_ward() -> TCoeffs:
-    return _linear(var("x"), var("u"), var("z"), var("w"))
-
-
-def _semifactorial() -> TCoeffs:
-    return TCoeffs(lambda i: Polynomial.const(i), _zero)
-
-
-def _eulerian2_reversed() -> TCoeffs:
-    x = var("x")
-    return TCoeffs(lambda i: Polynomial.const(i), lambda i: (i - 1) * (x - 1))
 
 
 def _master_T() -> TCoeffs:
@@ -180,12 +165,14 @@ def _master_T() -> TCoeffs:
     )
 
 
+_ZERO, _ONE = Polynomial.zero(), Polynomial.one()
+
 FAMILIES: dict[str, Callable[[], TCoeffs]] = {
-    "ward": _ward,
-    "ward-reversed": _ward_reversed,
-    "generalized-ward": _generalized_ward,
-    "semifactorial": _semifactorial,
-    "eulerian2-reversed": _eulerian2_reversed,
+    "ward": lambda: _linear(var("x"), var("x"), _ZERO, _ONE),
+    "ward-reversed": lambda: _linear(_ONE, _ONE, _ZERO, var("x")),
+    "generalized-ward": lambda: _linear(var("x"), var("u"), var("z"), var("w")),
+    "semifactorial": lambda: _linear(_ONE, _ONE, _ZERO, _ZERO),
+    "eulerian2-reversed": lambda: _linear(_ONE, _ONE, _ZERO, var("x") - 1),
     "master-T": _master_T,
 }
 
@@ -213,7 +200,10 @@ def pq_bracket(n: int, p: Polynomial, q: Polynomial) -> Polynomial:
 
 def _pq_line(m: int, p: Polynomial, q: Polynomial, x: Polynomial, u: Polynomial) -> Polynomial:
     """p^m x + q [m]_{p,q} u: the sum over cr + ne = m of p^cr q^ne times x
-    when ne = 0 and u otherwise, as the m + 1 labels of one closing step."""
+    when ne = 0 and u otherwise, as the m + 1 labels of one closing step;
+    zero for m < 0, where no closing step exists (as ``matchings.star``)."""
+    if m < 0:
+        return Polynomial.zero()
     return p**m * x + q * pq_bracket(m, p, q) * u
 
 
@@ -237,8 +227,6 @@ def tfraction_18var() -> TCoeffs:
         return _pq_line(i - 1, p, q, y, v)
 
     def delta(i: int) -> Polynomial:
-        if i == 1:
-            return xpp
         if i % 2 == 1:
             return _pq_line(i - 2, pp, qp, yp, vp) + _pq_line(i - 1, ppp, qpp, xpp, upp)
         return _pq_line(i - 2, pp, qp, xp, up) + _pq_line(i - 1, ppp, qpp, ypp, vpp)
@@ -256,8 +244,6 @@ def tfraction_12var() -> TCoeffs:
     ppp, qpp = var("p''"), var("q''")
 
     def delta(i: int) -> Polynomial:
-        if i == 1:
-            return xpp
         return _pq_line(i - 2, pp, qp, xp, up) + _pq_line(i - 1, ppp, qpp, xpp, upp)
 
     return TCoeffs(lambda i: _pq_line(i - 1, p, q, x, u), delta)

@@ -118,6 +118,8 @@ class SuperMatching:
         wiggly = frozenset(wiggly)
         dashed = frozenset(dashed)
         for i in wiggly | dashed:
+            if type(i) is not int:
+                raise ValueError(f"line at vertex {i!r}: a vertex is an int")
             if not 1 <= i <= 2 * base.n:
                 raise ValueError(f"line at vertex {i} outside 1..{2 * base.n}")
         for i in wiggly:
@@ -437,9 +439,10 @@ def _closer_stats(partner: tuple[int, ...]) -> list:
 
 def _decorated_sum(
     n: int, factors: Callable[[int, int, int, int], tuple[int, int, int]]
-) -> dict[int, int]:
+) -> Polynomial:
     """Sum over the decorated matchings of [2n] of the product of their
-    closer factors, as a map from ``Polynomial.terms`` keys to counts.
+    closer factors, summed as a map from ``Polynomial.terms`` keys to counts
+    and checked once for an exponent overflow.
 
     factors(k, j, cr, ne) gives the keys of the (pure, wiggly,
     dashed) factor of closer k with opener j.  A closer weighs its wiggly
@@ -476,7 +479,8 @@ def _decorated_sum(
             before, here = here, after
         for key, c in here.items():
             total[key] = total.get(key, 0) + c
-    return total
+    _SLOTS.check(total)
+    return Polynomial._raw(total)
 
 
 # Closer variables of the pure, wiggly and dashed classes: the record
@@ -496,9 +500,7 @@ def _record_poly(n: int, classes: tuple[tuple[str, ...], ...]) -> Polynomial:
         slot = k % 2 + (2 if nestings else 0)
         return tuple(row[slot] + crossings * row[4] + nestings * row[5] for row in keys)
 
-    terms = _decorated_sum(n, factors)
-    _SLOTS.check(terms)
-    return Polynomial._raw(terms)
+    return _decorated_sum(n, factors)
 
 
 def poly_18var(n: int) -> Polynomial:
@@ -532,6 +534,4 @@ def generalized_ward_oracle(n: int) -> Polynomial:
     def factors(k: int, j: int, crossings: int, nestings: int) -> tuple[int, int, int]:
         return (x if crossings == 0 else u, wp, z if j == k - 1 else wpp)
 
-    terms = _decorated_sum(n, factors)
-    _SLOTS.check(terms)
-    return Polynomial._raw(terms)
+    return _decorated_sum(n, factors)

@@ -118,6 +118,8 @@ class LabeledSchroederPath:
         for s, xi in zip(path.steps, labels):
             if (s is None) != (xi is None):
                 raise ValueError("labels must be defined exactly on defined steps")
+            if type(xi) is not int and xi is not None:
+                raise ValueError(f"a label is an int, not {xi!r}")
         self.path = path
         self.labels = labels
 

@@ -691,6 +691,8 @@ class Series:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Polynomial | Rat]):
+        if order < 0:
+            raise ValueError(f"series order must be at least 0, got {order}")
         cs = [Polynomial._coerce_or_raise(c) for c in coeffs]
         if len(cs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(cs)}")

@@ -67,8 +67,10 @@ class PhyloTree:
 
     @classmethod
     def _normalize(cls, node: Node) -> Node:
-        if isinstance(node, int):
+        if type(node) is int:
             return node
+        if not isinstance(node, tuple):
+            raise ValueError(f"a tree node is an int leaf or a tuple of nodes, not {node!r}")
         children = tuple(cls._normalize(c) for c in node)
         if len(children) < 2:
             raise ValueError("internal vertices need at least two children")
@@ -233,7 +235,7 @@ def multivariate_ward(n: int) -> Polynomial:
     """Generating polynomial of trees on n+1 leaves: an internal vertex
     with i+1 children contributes x[i]."""
     total = Polynomial.zero()
-    for k in range(0, n + 1) if n else (0,):
+    for k in range(n + 1):
         for tree in enumerate_phylo(n, k):
             term = Polynomial.one()
             for size in tree.child_sizes():
@@ -327,8 +329,6 @@ def contract_wiggly(bt: BinTree) -> PhyloTree:
 def augmented_to_tree(sm: SuperMatching) -> PhyloTree:
     """Wiggly-decorated matching of [2n] -> tree with n+1 leaves and
     n - #wiggly internal vertices."""
-    if sm.base.n == 0:
-        return PhyloTree(1)
     return contract_wiggly(binary_tree_of(arch_system_of(sm)))
 
 
@@ -396,8 +396,6 @@ def arch_system_to_matching(arch: ArchSystem) -> SuperMatching:
 
 def tree_to_augmented(tree: PhyloTree) -> SuperMatching:
     """Inverse of augmented_to_tree."""
-    if tree.n == 0:
-        return SuperMatching(PerfectMatching.from_pairs([]))
     return arch_system_to_matching(binary_to_arch_system(tree_to_binary(tree)))
 
 

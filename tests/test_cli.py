@@ -1,11 +1,13 @@
+import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 from wardcf import matchings
-from wardcf.cli import run
+from wardcf.cli import build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -154,7 +156,12 @@ def test_hankel_report(capsys):
 
 def test_hankel_budget_and_allow_large(capsys):
     code = run(["hankel", "--family", "ward", "--size", "7"])
+    captured = capsys.readouterr()
     assert code == 2
+    assert (captured.out, captured.err) == (
+        "",
+        "wardcf: size 7 exceeds the desk budget 6; pass --allow-large to run anyway\n",
+    )
     code, out = invoke(
         capsys, "hankel", "--family", "eulerian2-reversed", "--size", "7", "--rmax", "2",
         "--allow-large",
@@ -362,3 +369,38 @@ def test_readme_examples_print_what_they_show(capsys, monkeypatch):
     for argv, expected in examples:
         code, out = invoke(capsys, *argv)
         assert (code, out.splitlines()) == (0, expected), argv
+
+
+def readme_synopsis():
+    """verb -> {flag: choices} from the ``{a|b|...}`` groups of the README's
+    Command line block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```text\n", 1)[1]
+    block = block.split("```", 1)[0]
+    synopsis = {}
+    for entry in block.split("wardcf ")[1:]:
+        verb, rest = entry.split(None, 1)
+        groups = re.findall(r"(--[\w-]+)\s+\{([^}]*)\}", rest)
+        synopsis[verb] = {
+            flag: sorted(re.sub(r"\s+", "", choices).split("|")) for flag, choices in groups
+        }
+    return synopsis
+
+
+def parser_choices():
+    """verb -> {flag: choices} for every option of build_parser() that has
+    a fixed set of choices."""
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        verb: {
+            a.option_strings[0]: sorted(a.choices)
+            for a in sub._actions
+            if a.choices is not None
+        }
+        for verb, sub in verbs.choices.items()
+    }
+
+
+def test_readme_synopsis_lists_the_parser_choices():
+    synopsis = readme_synopsis()
+    assert sorted(synopsis) == ["expand", "hankel", "invert", "triangle", "verify"]
+    assert synopsis == parser_choices()

@@ -19,6 +19,7 @@ y = var("y")
 u = var("u")
 v = var("v")
 z = var("z")
+w = var("w")
 
 ZERO = lambda i: Polynomial.zero()
 CONST = lambda c: (lambda i: Polynomial.const(c))
@@ -185,6 +186,36 @@ def test_reversal_duality_ward():
 
     for n in range(n_max + 1):
         assert reversed_.coefficient(n) == plain.coefficient(n).reversed_in(VarId("x"), n)
+
+
+def test_negative_order_is_an_error():
+    # No truncation has a negative order; it must not read as order 0.
+    with pytest.raises(ValueError, match="order must be at least 0, got -1"):
+        expand_T(named_family("ward"), -1)
+    with pytest.raises(ValueError, match="got -1"):
+        expand_S(CONST(1), -1)
+    with pytest.raises(ValueError, match="got -2"):
+        expand_J(ZERO, CONST(1), -2)
+
+
+# Each linear family as the paper states it, written out by hand.
+STATED = {
+    "ward": (lambda i: i * x, lambda i: Polynomial.const(i - 1)),
+    "ward-reversed": (lambda i: Polynomial.const(i), lambda i: (i - 1) * x),
+    "generalized-ward": (lambda i: x + (i - 1) * u, lambda i: z + (i - 1) * w),
+    "semifactorial": (lambda i: Polynomial.const(i), ZERO),
+    "eulerian2-reversed": (lambda i: Polynomial.const(i), lambda i: (i - 1) * (x - 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATED))
+def test_linear_families_have_their_stated_coefficients(name):
+    alpha, delta = STATED[name]
+    seq = named_family(name)
+    for i in range(1, 8):
+        a, d = seq.alpha(i), seq.delta(i)
+        assert isinstance(a, Polynomial) and isinstance(d, Polynomial)
+        assert (a, d) == (alpha(i), delta(i)), i
 
 
 def test_master_T_prefix():

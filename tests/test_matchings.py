@@ -82,6 +82,15 @@ def test_super_validation():
         SuperMatching(base2, wiggly=[5], dashed=[6])
 
 
+@pytest.mark.parametrize("line", [True, 1.0])
+def test_super_lines_must_be_int_vertices(line):
+    # A bool vertex would format as dashed={True}, which parse_matching rejects.
+    base = pm((1, 2))
+    for kind in ("wiggly", "dashed"):
+        with pytest.raises(ValueError, match="a vertex is an int"):
+            SuperMatching(base, **{kind: [line]})
+
+
 def test_enumerate_matchings_counts():
     assert len(list(enumerate_matchings(0))) == 1
     assert len(list(enumerate_matchings(2))) == 3

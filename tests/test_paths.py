@@ -209,6 +209,14 @@ def test_path_to_matching_rejects_bad_labels():
         path_to_matching(LabeledSchroederPath(path, (2, 1)))
 
 
+@pytest.mark.parametrize("labels", [(True, True), (1, 1.0)])
+def test_labels_must_be_ints(labels):
+    # (True, True) would pass satisfies_bounds and format as
+    # "labels=[True,True]", which parse_path rejects.
+    with pytest.raises(ValueError, match="a label is an int"):
+        LabeledSchroederPath(SchroederPath(("R", "F")), labels)
+
+
 def test_verify_heights_and_statistics():
     assert verify_heights(EXAMPLE, matching_to_path(EXAMPLE).path)
     assert verify_statistics(EXAMPLE)

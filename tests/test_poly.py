@@ -199,6 +199,13 @@ def test_series_order_mismatch_is_error():
         Series.one(2) + Series.one(3)
 
 
+def test_series_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="series order must be at least 0, got -1"):
+        Series(-1, [])
+    with pytest.raises(ValueError, match="got -2"):
+        Series.zero(-2)
+
+
 def test_series_rejects_t_in_coefficients():
     with pytest.raises(ValueError):
         Series(1, [var("t"), Polynomial.zero()])

@@ -291,6 +291,13 @@ def test_tree_validation():
         PhyloTree((1, 3))  # labels must be 1..n+1
 
 
+@pytest.mark.parametrize("root", [(True, 2), (1.0, 2), ((1, 3), 2.0), [1, 2]])
+def test_tree_leaves_must_be_ints(root):
+    # (True, 2) would serialize as "(True,2)", which parse_tree rejects.
+    with pytest.raises(ValueError, match="an int leaf or a tuple of nodes"):
+        PhyloTree(root)
+
+
 @pytest.mark.parametrize("text, message", [
     ("(1,\uff12)", "expected leaf at 3"),
     ("(1,2\u00b2)", "unbalanced parse at 4"),
