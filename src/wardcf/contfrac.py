@@ -26,8 +26,7 @@ ward-reversed (1, 1, 0, x), generalized-ward (x, u, z, w), semifactorial
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .matchings import IndexedWeights, star
 from .poly import Polynomial, Series, var
@@ -39,14 +38,12 @@ def _zero(_: int) -> Polynomial:
     return Polynomial.zero()
 
 
-@dataclass(frozen=True)
-class JCoeffs:
+class JCoeffs(NamedTuple):
     gamma: CoeffFn  # i >= 0
     beta: CoeffFn  # i >= 1
 
 
-@dataclass(frozen=True)
-class TCoeffs:
+class TCoeffs(NamedTuple):
     alpha: CoeffFn  # i >= 1
     delta: CoeffFn  # i >= 1
 

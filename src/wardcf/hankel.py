@@ -20,17 +20,15 @@ exact polynomial division, and a memoized scan on Polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .eulerian import E2_reversed
 from .poly import Monomial, Polynomial, Rat, VarId
 from .ward import generalized_ward_cf, ward_poly
 
 
-@dataclass(frozen=True)
-class HankelSection:
+class HankelSection(NamedTuple):
     """Symmetric m x m section with entries drawn from a sequence."""
 
     m: int

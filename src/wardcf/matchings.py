@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .poly import _SLOTS, Polynomial, VarId, var
 
@@ -58,6 +57,8 @@ class PerfectMatching:
             raise ValueError("matching needs an even number of vertices")
         for i in range(1, size + 1):
             j = partner[i]
+            if type(j) is not int:
+                raise ValueError(f"partner {j!r} of vertex {i}: a vertex is an int")
             if not 1 <= j <= size or j == i or partner[j] != i:
                 raise ValueError("not a fixed-point-free involution")
         self.n = size // 2
@@ -70,6 +71,8 @@ class PerfectMatching:
         partner = [0] * (size + 1)
         for a, b in pairs:
             for v in (a, b):
+                if type(v) is not int:
+                    raise ValueError(f"vertex {v!r}: a vertex is an int")
                 if not 1 <= v <= size:
                     raise ValueError(f"vertex {v} outside 1..{size}")
             partner[a] = b
@@ -343,8 +346,7 @@ def count_augmented(n: int, l: int) -> int:
 # -- weight families and master polynomials --------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndexedWeights:
+class IndexedWeights(NamedTuple):
     """Weight lookups for decorated matchings.
 
     a is indexed by a single straddle count; b, f, g by (crossing, nesting)
@@ -379,12 +381,8 @@ def super_weight(sm: SuperMatching, w: IndexedWeights) -> Polynomial:
     pm = sm.base
     weight = Polynomial.one()
     for i in range(1, 2 * pm.n + 1):
-        if pm.is_opener(i):
-            if sm.is_pure(i):
-                weight = weight * w.a(qne(i, pm))
-        else:
-            if sm.is_pure(i):
-                weight = weight * w.b(cr(i, pm), ne(i, pm))
+        if sm.is_pure(i):
+            weight = weight * (w.a(qne(i, pm)) if pm.is_opener(i) else w.b(cr(i, pm), ne(i, pm)))
     for i in sm.wiggly:
         weight = weight * w.f(cr(i, pm), ne(i, pm))
     for i in sm.dashed:
@@ -395,7 +393,7 @@ def super_weight(sm: SuperMatching, w: IndexedWeights) -> Polynomial:
 def master_poly_T(n: int, w: IndexedWeights) -> Polynomial:
     """Sum of super_weight over all decorated matchings of [2n]."""
     # Each weight is looked up by many decorated matchings; build it once.
-    cached = IndexedWeights(*(lru_cache(maxsize=None)(f) for f in (w.a, w.b, w.f, w.g)))
+    cached = IndexedWeights(*map(lru_cache(maxsize=None), w))
     return Polynomial.sum(super_weight(sm, cached) for sm in enumerate_super(n))
 
 

@@ -31,9 +31,9 @@ Schroeder-path view, which subsumes it with simpler bookkeeping.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterator, Optional
+from functools import lru_cache
+from itertools import accumulate, product
+from typing import Callable, Iterator, NamedTuple, Optional
 
 # Called through their modules, so that a substituted contfrac.expand_J or
 # matchings.qne is the one that runs.
@@ -239,8 +239,7 @@ def enumerate_labeled_schroeder2(length: int) -> Iterator[LabeledSchroederPath]:
 # -- height-dependent path weights --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlajoletWeights:
+class FlajoletWeights(NamedTuple):
     """Weights per step kind, indexed by starting height.
 
     rise a_k, fall b_k, level c_k; level2 covers the second color of long
@@ -276,6 +275,9 @@ def flajolet_check(order: int, w: FlajoletWeights) -> bool:
     S for Dyck (alpha_i = a_{i-1} b_i), and T for 2-colored Schroeder
     (alpha_i = a_{i-1} b_i, delta_i = c_{i-1} + c2_{i-1}).
     """
+    # Each weight is looked up by many paths; build it once.
+    w = FlajoletWeights(*map(lru_cache(maxsize=None), w))
+
     def path_sum(enumerate_paths, steps_per_n: int) -> Series:
         return Series(order, [
             Polynomial.sum(flajolet_weight(p, w) for p in enumerate_paths(steps_per_n * n))
@@ -395,9 +397,10 @@ def verify_heights(sm: SuperMatching, path: SchroederPath) -> bool:
     """Whether each defined height of path, sm's ``matching_to_path(sm).path``,
     counts the arches of sm started but not yet finished there."""
     pm = sm.base
+    # Each vertex opens an arch (+1) or finishes one (-1).
+    counts = accumulate((1 if j > i else -1 for i, j in enumerate(pm.partner[1:], 1)), initial=0)
     return path.length == 2 * pm.n and all(
-        h is None or h == sum(1 for j in range(1, i + 1) if pm.partner[j] > i)
-        for i, h in enumerate(path.heights)
+        h is None or h == count for h, count in zip(path.heights, counts)
     )
 
 

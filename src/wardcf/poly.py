@@ -426,12 +426,17 @@ class Polynomial:
         if len(a) > len(b):
             a, b = b, a
         out: dict[int, Rat] = {}
-        get = out.get
-        for k1, c1 in a.items():
+        if len(a) == 1:  # one term shifts every key of b alike: no collisions
+            ((k1, c1),) = a.items()
             for k2, c2 in b.items():
-                k = k1 + k2
-                prev = get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
+                out[k1 + k2] = c1 * c2
+        else:
+            get = out.get
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    prev = get(k)
+                    out[k] = c1 * c2 if prev is None else prev + c1 * c2
         _SLOTS.check(out)
         return Polynomial._raw(_clean(out))
 

@@ -24,9 +24,8 @@ listing the binary tree's left-child chains in order of their leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .matchings import PerfectMatching, SuperMatching
 from .poly import Polynomial, var
@@ -69,7 +68,7 @@ class PhyloTree:
     def _normalize(cls, node: Node) -> Node:
         if type(node) is int:
             return node
-        if not isinstance(node, tuple):
+        if type(node) is not tuple:
             raise ValueError(f"a tree node is an int leaf or a tuple of nodes, not {node!r}")
         children = tuple(cls._normalize(c) for c in node)
         if len(children) < 2:
@@ -247,8 +246,7 @@ def multivariate_ward(n: int) -> Polynomial:
 # -- intermediate structures of the bijection --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArchSystem:
+class ArchSystem(NamedTuple):
     """Arches and horizontal lines on [2n+1] forming a tree rooted at 1.
 
     arches are (opener, closer, wiggly) with opener < closer; horizontals
@@ -261,8 +259,7 @@ class ArchSystem:
     labels: tuple[tuple[int, int], ...]  # (vertex, label), increasing vertex
 
 
-@dataclass(frozen=True)
-class BinNode:
+class BinNode(NamedTuple):
     """Internal vertex of a planar binary tree; the right edge may be
     wiggly.  Leaves are plain ints."""
 

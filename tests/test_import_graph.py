@@ -3,12 +3,21 @@
 Every ``wardcf`` module imports at its top level only, so the graph below is
 the whole of it; ``matchings`` states the counting side of the identities and
 imports nothing of the package but ``poly``; and the graph has no cycle.
+Importing ``wardcf.cli``, which every command-line run pays, pulls in
+neither ``dataclasses`` nor ``inspect``: the value types are NamedTuples,
+and they stay immutable.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import wardcf
+from wardcf import contfrac, hankel, matchings, paths, trees
+from wardcf.poly import Polynomial
 
 SRC = Path(wardcf.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -71,3 +80,47 @@ def test_package_imports_are_acyclic():
 
     for m in MODULES:
         visit(m)
+
+
+# -- what importing the CLI costs -------------------------------------------------------
+
+IMPORT_CLI = """
+import sys
+start = set(sys.modules)
+import wardcf.cli
+print(" ".join(sorted(set(sys.modules) - start)))
+"""
+
+
+def test_cli_import_adds_neither_dataclasses_nor_inspect():
+    # A fresh interpreter, compared with its own start-up set of modules.
+    done = subprocess.run([sys.executable, "-c", IMPORT_CLI], cwd=SRC.parent,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "wardcf.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def _one(*_):
+    return Polynomial.one()
+
+
+VALUES = {
+    "JCoeffs": (contfrac.JCoeffs(_one, _one), "gamma"),
+    "TCoeffs": (contfrac.TCoeffs(_one, _one), "delta"),
+    "IndexedWeights": (matchings.IndexedWeights.symbolic(), "a"),
+    "FlajoletWeights": (paths.FlajoletWeights(_one, _one, _one), "level2"),
+    "ArchSystem": (trees.ArchSystem(1, (), (), ((1, 1),)), "arches"),
+    "BinNode": (trees.BinNode(1, 2), "right_wiggly"),
+    "HankelSection": (hankel.hankel_section(_one, 2), "entries"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_reject_field_assignment(name):
+    value, field = VALUES[name]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    assert getattr(value, field) is before

@@ -67,6 +67,19 @@ def test_matching_validation():
         parse_matching("pairs=(1,2); wiggly={5}; dashed={}")
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PerfectMatching.from_pairs([(1.0, 2)]), r"vertex 1\.0: a vertex is an int"),
+    (lambda: PerfectMatching.from_pairs([(True, 2)]), "vertex True: a vertex is an int"),
+    (lambda: PerfectMatching.from_pairs([(1, 4), (2, 3.0)]), r"vertex 3\.0: a vertex is an int"),
+    (lambda: PerfectMatching((0, 2, True)), "partner True of vertex 2: a vertex is an int"),
+    (lambda: PerfectMatching((0, 2.0, 1)), r"partner 2\.0 of vertex 1: a vertex is an int"),
+], ids=["float-pair", "bool-pair", "float-in-second-pair", "bool-partner", "float-partner"])
+def test_matching_vertices_must_be_ints(build, message):
+    # from_pairs([(True, 2)]) used to build the partner array (0, 2, True).
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_super_validation():
     base = pm((1, 2), (3, 4))
     SuperMatching(base, wiggly=[2])  # 2 closer, 3 opener: fine

@@ -457,6 +457,35 @@ def test_print_order_is_the_monomial_order(monos):
     assert parse_poly(str(p)) == p
 
 
+MONOMIALS = st.dictionaries(st.sampled_from(VARS), EXPONENTS, max_size=3).map(
+    lambda d: Monomial(d.items()))
+COEFFS = st.fractions(max_denominator=6).filter(lambda c: c != 0)
+
+
+@given(MONOMIALS, COEFFS, st.dictionaries(MONOMIALS, COEFFS, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_one_term_products_match_the_term_by_term_sum(m, c, terms):
+    # The reference multiplies Monomials and sums the terms; exponents near
+    # MAX_EXPONENT make some products overflow a slot into its guard bit.
+    one, many = Polynomial({m: c}), Polynomial(terms)
+    expected, overflow = {}, False
+    for m2, c2 in terms.items():
+        exps = dict(m.exps)
+        for v, e in m2.exps:
+            exps[v] = exps.get(v, 0) + e
+        overflow |= max(exps.values(), default=0) > MAX_EXPONENT
+        key = Monomial(exps.items())
+        expected[key] = expected.get(key, 0) + c * c2
+    for left, right in ((one, many), (many, one)):
+        if overflow:
+            with pytest.raises(OverflowError):
+                left * right
+        else:
+            product = left * right
+            assert product == Polynomial(expected)
+            assert all(type(a) is int or a.denominator > 1 for _, a in product.items())
+
+
 SLOT_ORDER_SCRIPT = """
 import sys
 from wardcf.poly import Polynomial, VarId, parse_poly, var

@@ -298,6 +298,12 @@ def test_tree_leaves_must_be_ints(root):
         PhyloTree(root)
 
 
+def test_a_binary_node_is_not_a_tree_node():
+    # BinNode is a tuple (left, right, right_wiggly), not a tuple of children.
+    with pytest.raises(ValueError, match=r"not BinNode\(left=1, right=2, right_wiggly=False\)"):
+        PhyloTree(BinNode(1, 2))
+
+
 @pytest.mark.parametrize("text, message", [
     ("(1,\uff12)", "expected leaf at 3"),
     ("(1,2\u00b2)", "unbalanced parse at 4"),
