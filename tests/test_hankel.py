@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 
 from wardcf import cli
 from wardcf.hankel import (
+    HankelSection,
     _add_product,
     _pack,
     _packed_section,
+    _store,
     _unpack,
     all_minors_nonneg,
     e2_reversed_sequence,
@@ -201,6 +205,31 @@ def test_r_max_validation():
         all_minors_nonneg(h, 0)
 
 
+ONE = Polynomial.one()
+
+
+@pytest.mark.parametrize(
+    "m, entries, where",
+    [
+        # Read as symmetric, this section gave the 2 x 2 minor x^2 - 1; its
+        # first offending minor is the 1 x 1 minor -1 at rows (1,), cols (0,).
+        (2, ((x, ONE), (-ONE, x)), r"entry \(1, 0\) differs from entry \(0, 1\)"),
+        (2, ((x,),), r"entry \(0, 1\): the section is not 2 x 2"),
+        (2, ((1, 2), (2, 5)), r"entry \(0, 0\) is not a Polynomial"),
+        (2, (), r"entry \(0, 0\): the section is not 2 x 2"),
+        (2, ((ONE, ONE),), r"entry \(1, 0\): the section is not 2 x 2"),
+        (2, ((ONE, ONE), (ONE, ONE, ONE)), r"entry \(1, 2\): the section is not 2 x 2"),
+        (2, ((ONE, ONE), (ONE, ONE), (ONE, ONE)), r"entry \(2, 0\): the section is not 2 x 2"),
+        (2.0, ((ONE, ONE), (ONE, ONE)), r"section size 2\.0 is not an int"),
+    ],
+    ids=["not-hankel", "not-square", "int-entries", "no-rows", "one-row", "long-row", "extra-row",
+         "float-size"],
+)
+def test_malformed_section_is_rejected(m, entries, where):
+    with pytest.raises(ValueError, match=where):
+        all_minors_nonneg(HankelSection(m, entries), 1)
+
+
 # -- determinant method agreement -------------------------------------------------------
 
 VARS = [VarId("x"), VarId("z")]
@@ -304,6 +333,81 @@ def test_level_scan_matches_memoized_scan(case):
         assert all_minors_nonneg(h, r_max) == memoized_minors_nonneg(h, r_max)
 
 
+# The scan stores a finished minor's keys and coefficients as array('q')
+# columns when they fit in a signed 64-bit word and as tuples otherwise.
+BOUNDARY = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1]
+WIDE_VARS = [VarId("x"), VarId("z"), VarId("a", 1), VarId("b", 2, 1), VarId("c", 3)]
+
+
+def test_store_packs_columns_and_drops_cancelled_terms():
+    keys, coeffs = _store({1: 0, 2: 3, 5: 2**63 - 1})
+    assert type(keys) is type(coeffs) is array
+    assert (list(keys), list(coeffs)) == ([2, 5], [3, 2**63 - 1])
+    keys, coeffs = _store({3: -(2**63), 1 << 64: 1})
+    assert keys == (3, 1 << 64) and type(coeffs) is array and list(coeffs) == [-(2**63), 1]
+    assert _store({3: -(2**63) - 1}) == (array("q", [3]), (-(2**63) - 1,))
+    keys, coeffs = _store({4: 2**63, 1: Fraction(1, 2), 2: Fraction(0)})
+    assert type(keys) is array and list(keys) == [4, 1]
+    assert coeffs == (2**63, Fraction(1, 2))
+
+
+@st.composite
+def wide_polys(draw):
+    """Coefficients at and beyond the 64-bit bounds and Fractions, and
+    exponents that make the scan's keys wider than 64 bits."""
+    coefficient = st.one_of(
+        st.integers(-1, 4),
+        st.sampled_from(BOUNDARY + [3**50, -(3**50)]),
+        st.fractions(0, 5, max_denominator=6),
+    )
+    p = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        exps = {v: draw(st.sampled_from([0, 1, 2, 8000])) for v in WIDE_VARS}
+        p = p + Polynomial({Monomial(exps.items()): draw(coefficient)})
+    return p
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(wide_polys(), min_size=2 * m - 1, max_size=2 * m - 1))))
+@settings(max_examples=100, deadline=None)
+def test_level_scan_matches_memoized_scan_on_wide_terms(case):
+    m, seq = case
+    h = hankel_section(lambda n: seq[n], m)
+    for r_max in range(1, m + 1):
+        assert all_minors_nonneg(h, r_max) == memoized_minors_nonneg(h, r_max)
+
+
+@pytest.mark.parametrize("t", BOUNDARY + [2**64 + 1, Fraction(2**63 - 1, 3)])
+def test_minor_at_the_64_bit_bounds(t):
+    # P_n = c_n x^n with c = (1, v, w, w^2, w^4) and w - v^2 = t: the 2 x 2
+    # minor at rows (0, 1), cols (0, 1) is t x^2.  For t > 0 every 2 x 2
+    # minor is nonnegative and the 3 x 3 minors read it back.
+    v = 2**32
+    w = t + v * v
+    c = [1, v, w, w * w, w**4]
+    h = hankel_section(lambda n: c[n] * x**n, 3)
+    expected = memoized_minors_nonneg(h, 3)
+    assert all_minors_nonneg(h, 3) == expected
+    assert memoized_minor(h)((0, 1), (0, 1)) == t * x**2
+    assert expected[0] is (t > 0)
+    if t < 0:
+        assert expected[1] == ((0, 1), (0, 1), t * x**2)
+
+
+def test_scan_memory_stays_packed():
+    # A finished minor is kept as packed columns, not a dict of boxed ints:
+    # this scan peaks at 0.66 MB, and at 2.70 MB on dicts.
+    h = hankel_section(generalized_ward_sequence, 5)
+    tracemalloc.start()
+    try:
+        result = all_minors_nonneg(h, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (True, None)
+    assert peak < 1.2e6, peak
+
+
 # -- the scan's packed keys ---------------------------------------------------------------
 
 PACKED_VARS = [VarId("x"), VarId("z"), VarId("a", 1), VarId("b", 2, 1)]
@@ -320,12 +424,13 @@ def packable_polys(draw):
 
 def packed_product(p, q, r, sign, short_bits=0):
     """r + sign*p*q on the scan's keys of the section [[p, q], [q, r]],
-    in the scan's base for it, or in a base short_bits bits smaller."""
+    in the scan's base for it, or in a base short_bits bits smaller; q
+    is read in the form the scan stores a finished minor in."""
     variables, base, _ = _packed_section(hankel_section(lambda n: (p, q, r)[n], 2))
     base >>= short_bits
     acc = _pack(r.items(), variables, base)
-    _add_product(acc, _pack(p.items(), variables, base), _pack(q.items(), variables, base), sign)
-    return _unpack(acc, variables, base)
+    _add_product(acc, _pack(p.items(), variables, base), _store(_pack(q.items(), variables, base)), sign)
+    return _unpack(_store(acc), variables, base)
 
 
 @given(packable_polys(), packable_polys(), packable_polys(), st.sampled_from([1, -1]))
