@@ -13,7 +13,7 @@ and by enumerating the words.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import deque
 from typing import Iterator
 
 from . import contfrac
@@ -28,6 +28,8 @@ def enumerate_stirling_perms(n: int) -> Iterator[tuple[int, ...]]:
     The pair nn is inserted into each gap of each order-(n-1) word, gaps
     scanned left to right.
     """
+    if n < 0:
+        raise ValueError(f"order must be at least 0, got {n}")
     if n == 0:
         yield ()
         return
@@ -43,14 +45,10 @@ def descents(word: tuple[int, ...]) -> int:
     return 1 + sum(1 for j in range(len(word) - 1) if word[j] > word[j + 1])
 
 
-@lru_cache(maxsize=None)
 def eulerian2(n: int, k: int) -> int:
-    """Second-order Eulerian number by recurrence."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 0 or k > n:
-        return 0
-    return (2 * n - k) * eulerian2(n - 1, k - 1) + k * eulerian2(n - 1, k)
+    """Second-order Eulerian number, read from the recurrence's row n."""
+    row = deque(_e2_rows(n), maxlen=1)[0]
+    return row[k] if 0 <= k <= n else 0
 
 
 def eulerian2_by_enumeration(n: int, k: int) -> int:
@@ -58,15 +56,26 @@ def eulerian2_by_enumeration(n: int, k: int) -> int:
     return sum(1 for w in enumerate_stirling_perms(n) if descents(w) == k)
 
 
+def _e2_rows(rows: int) -> Iterator[list[int]]:
+    """Rows 0..rows of E2(n,k), 0 <= k <= n, each from the one before."""
+    if rows < 0:
+        raise ValueError(f"rows must be at least 0, got {rows}")
+    row = [1]
+    yield row
+    for n in range(1, rows + 1):
+        prev = [0, *row, 0]  # prev[k] = E2(n-1,k-1)
+        row = [(2 * n - k) * prev[k] + k * prev[k + 1] for k in range(n + 1)]
+        yield row
+
+
 def eulerian2_triangle(rows: int) -> list[list[int]]:
-    return [[eulerian2(n, k) for k in range(n + 1)] for n in range(rows + 1)]
+    return list(_e2_rows(rows))
 
 
 def E2_poly(n: int) -> Polynomial:
     x = var("x")
-    return Polynomial.sum(
-        eulerian2(n, k) * x**k for k in range(n + 1) if eulerian2(n, k)
-    )
+    row = deque(_e2_rows(n), maxlen=1)[0]
+    return Polynomial.sum(c * x**k for k, c in enumerate(row) if c)
 
 
 def E2_reversed(n: int) -> Polynomial:
@@ -83,7 +92,8 @@ def ward_euler_identity(n: int) -> bool:
 def clop_equals_eulerian(n: int) -> bool:
     """Matchings counted by closer/opener adjacencies match the reversed
     descent distribution: M'(n,l) = E2(n, n-l) for every l."""
-    return all(count_Mprime(n, l) == eulerian2(n, n - l) for l in range(n + 1))
+    row = eulerian2_triangle(n)[n]
+    return all(count_Mprime(n, l) == row[n - l] for l in range(n + 1))
 
 
 def e2_reversed_tfraction_check(order: int) -> bool:

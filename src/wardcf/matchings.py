@@ -293,19 +293,19 @@ def is_antirecord(k: int, pm: PerfectMatching) -> bool:
 
 
 def crossing_total(pm: PerfectMatching) -> int:
-    """Total crossings, counted by direct quadruple scan."""
+    """Total crossings, by direct scan of the pairs, which pairs() lists by opener."""
     total = 0
     for (i, k), (j, l) in combinations(pm.pairs(), 2):
-        if i < j < k < l or j < i < l < k:
+        if i < j < k < l:
             total += 1
     return total
 
 
 def nesting_total(pm: PerfectMatching) -> int:
-    """Total nestings, counted by direct quadruple scan."""
+    """Total nestings, by direct scan of the pairs, which pairs() lists by opener."""
     total = 0
     for (i, l), (j, k) in combinations(pm.pairs(), 2):
-        if i < j < k < l or j < i < l < k:
+        if i < j < k < l:
             total += 1
     return total
 

@@ -510,7 +510,8 @@ class Polynomial:
         return self.terms.get(_SLOTS.key(m), 0)
 
     def coefficient_of(self, v: VarId, k: int) -> "Polynomial":
-        """The polynomial coefficient of v**k, with v stripped out."""
+        """The polynomial coefficient of v**k, with v stripped out; zero for
+        k < 0, so a recurrence may read the coefficient left of k = 0."""
         unit = _SLOTS.unit(v)
         shift = unit.bit_length() - 1
         strip = k * unit

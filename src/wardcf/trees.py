@@ -233,6 +233,8 @@ def enumerate_phylo(n: int, k: int) -> Iterator[PhyloTree]:
 def multivariate_ward(n: int) -> Polynomial:
     """Generating polynomial of trees on n+1 leaves: an internal vertex
     with i+1 children contributes x[i]."""
+    if n < 0:
+        raise ValueError(f"size must be at least 0, got {n}")
     total = Polynomial.zero()
     for k in range(n + 1):
         for tree in enumerate_phylo(n, k):
@@ -305,7 +307,7 @@ def binary_tree_of(arch: ArchSystem) -> BinTree:
 
 def contract_wiggly(bt: BinTree) -> PhyloTree:
     """Third stage: contracting every wiggly right edge merges chains of
-    binary vertices into one vertex with many children."""
+    binary vertices into one vertex with many children (PhyloTree sorts them)."""
 
     def children(node: BinNode) -> list[Node]:
         out = [convert(node.left)]
@@ -318,7 +320,7 @@ def contract_wiggly(bt: BinTree) -> PhyloTree:
     def convert(node: BinTree) -> Node:
         if isinstance(node, int):
             return node
-        return _canon(children(node))
+        return tuple(children(node))
 
     return PhyloTree(convert(bt))
 
@@ -426,4 +428,6 @@ def enumerate_partitions_min2(elements: tuple[int, ...], k: int) -> Iterator[tup
 def count_assoc_stirling(n: int, k: int) -> int:
     """Partitions of an n-set into k blocks of size >= 2, by direct
     enumeration."""
+    if n < 0:
+        raise ValueError(f"size must be at least 0, got {n}")
     return sum(1 for _ in enumerate_partitions_min2(tuple(range(1, n + 1)), k))

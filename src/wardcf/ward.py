@@ -31,15 +31,12 @@ X, U, Z, W = VarId("x"), VarId("u"), VarId("z"), VarId("w")
 
 def ward_triangle(rows: int) -> list[list[int]]:
     """Rows 0..rows of the triangle W(n,k), 0 <= k <= n."""
+    if rows < 0:
+        raise ValueError(f"rows must be at least 0, got {rows}")
     tri = [[1]]
     for n in range(1, rows + 1):
-        prev = tri[-1]
-        row = []
-        for k in range(n + 1):
-            above_left = prev[k - 1] if 1 <= k <= n else 0
-            above = prev[k] if k <= n - 1 else 0
-            row.append((n + k - 1) * above_left + k * above)
-        tri.append(row)
+        prev = [0, *tri[-1], 0]  # prev[k] = W(n-1,k-1)
+        tri.append([(n + k - 1) * prev[k] + k * prev[k + 1] for k in range(n + 1)])
     return tri
 
 
@@ -59,7 +56,8 @@ def generalized_ward_cf(order: int) -> list[Polynomial]:
     return [s.coefficient(n) for n in range(order + 1)]
 
 
-# The Appendix B checks take W_0..W_n from one generalized_ward_cf(n).
+# The Appendix B checks take W_0..W_n from one generalized_ward_cf(n), and
+# start each recurrence from W_{-1} = 0.
 
 
 def check_prop_B1(ws: Sequence[Polynomial]) -> bool:
@@ -70,20 +68,14 @@ def check_prop_B1(ws: Sequence[Polynomial]) -> bool:
           + (x-u) sum_{j=0}^{n-1} W_j W_{n-1-j}.
     """
     x, u, z, w = var("x"), var("u"), var("z"), var("w")
-    for n in range(len(ws)):
-        if n == 0:
-            if ws[0] != Polynomial.one():
-                return False
-            continue
-        prev = ws[n - 1]
-        rhs = (
-            (z + n * u) * prev
-            + (u + w) * (u * prev.deriv(U) + x * prev.deriv(X))
-            + (x - u) * Polynomial.sum(ws[j] * ws[n - 1 - j] for j in range(n))
-        )
-        if ws[n] != rhs:
-            return False
-    return True
+    return all(
+        wn
+        == int(n == 0)
+        + (z + n * u) * prev
+        + (u + w) * (u * prev.deriv(U) + x * prev.deriv(X))
+        + (x - u) * Polynomial.sum(ws[j] * ws[n - 1 - j] for j in range(n))
+        for n, (prev, wn) in enumerate(zip([Polynomial.zero(), *ws], ws))
+    )
 
 
 def check_cor_B2(ws: Sequence[Polynomial]) -> bool:
@@ -91,32 +83,27 @@ def check_cor_B2(ws: Sequence[Polynomial]) -> bool:
 
     P_n = W_n(x,x,z,w) satisfies
         P_n = [n=0] + (z+nx) P_{n-1} + x(x+w) dP_{n-1}/dx,
-    and its x-coefficients satisfy
+    and for n >= 1 its x-coefficients satisfy
         W_{n,k} = (n+k-1) W_{n-1,k-1} + (z+kw) W_{n-1,k}.
     The z=0, w=1 specialization must collapse to the integer triangle.
     """
     x, z, w = var("x"), var("z"), var("w")
     ps = [p.substitute({U: x}) for p in ws]
-    order = len(ps) - 1
-    for n in range(order + 1):
-        if n == 0:
-            if ps[0] != Polynomial.one():
-                return False
-            continue
-        rhs = (z + n * x) * ps[n - 1] + x * (x + w) * ps[n - 1].deriv(X)
-        if ps[n] != rhs:
-            return False
-    # coefficientwise form
-    for n in range(1, order + 1):
-        for k in range(n + 1):
-            wnk = ps[n].coefficient_of(X, k)
-            left = ps[n - 1].coefficient_of(X, k - 1) if k >= 1 else Polynomial.zero()
-            same = ps[n - 1].coefficient_of(X, k)
-            if wnk != (n + k - 1) * left + (z + k * w) * same:
-                return False
-    # z=0, w=1 collapse
+    if not all(
+        pn == int(n == 0) + (z + n * x) * prev + x * (x + w) * prev.deriv(X)
+        for n, (prev, pn) in enumerate(zip([Polynomial.zero(), *ps], ps))
+    ):
+        return False
+    if not all(
+        ps[n].coefficient_of(X, k)
+        == (n + k - 1) * ps[n - 1].coefficient_of(X, k - 1)
+        + (z + k * w) * ps[n - 1].coefficient_of(X, k)
+        for n in range(1, len(ps))
+        for k in range(n + 1)
+    ):
+        return False
     sub = {Z: Polynomial.zero(), W: Polynomial.one()}
-    return all(ps[n].substitute(sub) == ward_poly(n) for n in range(order + 1))
+    return all(p.substitute(sub) == ward_poly(n) for n, p in enumerate(ps))
 
 
 def check_cor_B3(ws: Sequence[Polynomial]) -> bool:
@@ -126,17 +113,13 @@ def check_cor_B3(ws: Sequence[Polynomial]) -> bool:
     """
     x, u, z = var("x"), var("u"), var("z")
     qs = [p.substitute({W: -u}) for p in ws]
-    for n in range(len(qs)):
-        if n == 0:
-            if qs[0] != Polynomial.one():
-                return False
-            continue
-        rhs = (z + n * u) * qs[n - 1] + (x - u) * Polynomial.sum(
-            qs[j] * qs[n - 1 - j] for j in range(n)
-        )
-        if qs[n] != rhs:
-            return False
-    return True
+    return all(
+        qn
+        == int(n == 0)
+        + (z + n * u) * prev
+        + (x - u) * Polynomial.sum(qs[j] * qs[n - 1 - j] for j in range(n))
+        for n, (prev, qn) in enumerate(zip([Polynomial.zero(), *qs], qs))
+    )
 
 
 def check_cor_B4(ws: Sequence[Polynomial]) -> bool:
@@ -190,6 +173,8 @@ def invert_sequence(a: Sequence[Polynomial | int], order: int) -> list[Polynomia
 
 def multivariate_ward_via_inversion(order: int) -> list[Polynomial]:
     """The tree polynomials themselves, from the generic series inverse."""
+    if order < 0:
+        raise ValueError(f"inversion order must be nonnegative, got {order}")
     return _invert_egf([Polynomial.one()] + [-var("x", n) for n in range(1, order + 1)])
 
 
@@ -218,85 +203,54 @@ def check_closed_form_u_eq_x(order: int) -> bool:
     """Verify the u = x closed form and its explicit inverse-EGF series.
 
     Three facts are checked to the given order (at least 1):
-      1. inversion of W_n(x,x,z,w) composes back to t, which
-         Series.compose checks independently of the Lagrange inverse, and
-         reproduces closed_form_u_eq_x;
+      1. inversion of W_n(x,x,z,w) reproduces closed_form_u_eq_x, and
+         R(t) = t - sum_m x_m t^(m+1)/(m+1)! composes back to t, which
+         Series.compose checks independently of the Lagrange inverse;
       2. the explicit series
              (1 + x/w)/z * log(1+zt) - (x/w^2) ((1+zt)^(w/z) - 1),
-         expanded with the exponent handled as a formal symbol s = w/z,
-         has exactly those coefficients (so it is polynomial in w, z);
+         expanded by the binomial theorem, equals R through t^(order+1)
+         (so it is polynomial in w, z);
       3. that series satisfies F_t = 1 - xF - ztF_t + x(x+w) F_x.
     """
-    x = var("x")
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    x, z, w = var("x"), var("z"), var("w")
     ps = [p.substitute({U: x}) for p in generalized_ward_cf(order)]
     computed = invert_sequence(ps, order)
-    round_trip = _egf(ps).compose(_egf([Polynomial.one()] + [-c for c in computed]))
-    if round_trip != Series.t(order + 1):
-        return False
-    closed = [closed_form_u_eq_x(m) for m in range(1, order + 1)]
-    if computed != closed:
+    if computed != [closed_form_u_eq_x(m) for m in range(1, order + 1)]:
         return False
     # z=0, w=1 degeneration: every x_m collapses to x.
     sub01 = {Z: Polynomial.zero(), W: Polynomial.one()}
-    if any(c.substitute(sub01) != x for c in closed):
+    if any(c.substitute(sub01) != x for c in computed):
         return False
-
-    f = _explicit_inverse_series(order)
-    for n in range(2, order + 1):
-        if f.coefficient(n) * (-factorial(n)) != closed[n - 2]:
-            return False
-    if f.coefficient(0) != Polynomial.zero() or f.coefficient(1) != Polynomial.one():
+    r = _egf([Polynomial.one()] + [-c for c in computed])
+    if _egf(ps).compose(r) != Series.t(order + 1):
         return False
-
-    # PDE check, coefficientwise to order-1.
-    w = var("w")
+    f = _explicit_inverse_series(order + 1)
+    if f != r:
+        return False
+    # PDE check, coefficientwise through t^order.
     fx = f.map_coeffs(lambda c: c.deriv(X))
-    for m in range(order):
-        lhs = f.coefficient(m + 1) * (m + 1)
-        rhs = (
-            (Polynomial.one() if m == 0 else Polynomial.zero())
-            - x * f.coefficient(m)
-            - var("z") * m * f.coefficient(m)
-            + x * (x + w) * fx.coefficient(m)
-        )
-        if lhs != rhs:
-            return False
-    return True
+    return all(
+        f.coefficient(m + 1) * (m + 1)
+        == int(m == 0) - (x + m * z) * f.coefficient(m) + x * (x + w) * fx.coefficient(m)
+        for m in range(order + 1)
+    )
 
 
 def _explicit_inverse_series(order: int) -> Series:
     """Coefficients of (1+x/w)/z log(1+zt) - (x/w^2)((1+zt)^(w/z) - 1).
 
-    The binomial series for (1+zt)^(w/z) is expanded in a formal exponent
-    symbol s; each monomial s^a z^b it produces has b >= a, so replacing
-    s^a z^b by w^a z^(b-a) is an exact polynomial substitution.  The log
-    and 1/w, 1/w^2 prefactors are then cleared by exact division.
+    By the binomial theorem [t^m] (1+zt)^(w/z) = prod_{j<m} (w - jz) / m!,
+    kept as one running product, and [t^m] log(1+zt)/z is
+    (-1)^(m+1) z^(m-1)/m.  The 1/w and 1/w^2 prefactors are cleared by
+    exact division.
     """
     x, z, w = var("x"), var("z"), var("w")
-    s = var("s")
-    s_var = VarId("s")
     coeffs = [Polynomial.zero()]
+    power = Polynomial.one()
     for m in range(1, order + 1):
-        # falling factorial s(s-1)...(s-m+1) times z^m / m!
-        falling = Polynomial.one()
-        for j in range(m):
-            falling = falling * (s - j)
-        body = falling * z**m * Fraction(1, factorial(m))
-        # substitute s -> w/z monomial by monomial
-        replaced = Polynomial.zero()
-        for mono, c in body.items():
-            a = mono.exponent(s_var)
-            rest = Polynomial({mono: c})
-            for _ in range(a):
-                rest = rest.div_var(s_var).div_var(Z)
-            if a:
-                rest = rest * w**a
-            replaced = replaced + rest
-        # coefficient of t^m:
-        #   (1 + x/w) (-1)^(m+1) z^(m-1)/m  -  (x/w^2) * replaced
-        sign = 1 if (m + 1) % 2 == 0 else -1
-        log_part = sign * Fraction(1, m) * z ** (m - 1)
-        total_w2 = (w**2 + x * w) * log_part - x * replaced
-        c_m = total_w2.div_var(W).div_var(W)
-        coeffs.append(c_m)
+        power = power * (w - (m - 1) * z) * Fraction(1, m)
+        log_part = (-1) ** (m + 1) * Fraction(1, m) * z ** (m - 1)
+        coeffs.append(((w**2 + x * w) * log_part - x * power).div_var(W).div_var(W))
     return Series(order, coeffs)

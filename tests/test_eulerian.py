@@ -57,6 +57,9 @@ def test_eulerian2_table():
     assert eulerian2_triangle(8) == E2_TABLE
     assert eulerian2(4, 3) == 58
     assert eulerian2(7, 4) == 32120
+    # far past the recursion limit: E2(n,3) = (3^(n+2) - (8n+12) 2^n + 4n^2 + 6n + 3)/2
+    n = 1200
+    assert 2 * eulerian2(n, 3) == 3 ** (n + 2) - (8 * n + 12) * 2**n + 4 * n * n + 6 * n + 3
 
 
 def test_eulerian2_enumeration_agrees_with_recurrence():

@@ -140,6 +140,7 @@ def test_deriv_and_coefficient_of():
     assert p.deriv(VarId("x")) == 6 * x * y + y
     assert p.coefficient_of(VarId("x"), 1) == y
     assert p.coefficient_of(VarId("x"), 0) == Polynomial.const(-5)
+    assert p.coefficient_of(VarId("x"), -1) == Polynomial.zero()
 
 
 def test_div_var():

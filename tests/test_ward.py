@@ -3,8 +3,12 @@ import math
 import pytest
 
 from wardcf.contfrac import expand_T, named_family
+from wardcf.eulerian import enumerate_stirling_perms, eulerian2_triangle
 from wardcf.poly import Fraction, Polynomial, VarId, parse_poly, var
+from wardcf.trees import count_assoc_stirling, multivariate_ward
 from wardcf.ward import (
+    _egf,
+    _explicit_inverse_series,
     check_closed_form_u_eq_x,
     check_cor_B2,
     check_cor_B3,
@@ -101,9 +105,9 @@ def test_appendix_recurrence_checks():
     ws = generalized_ward_cf(8)
     checks = (check_prop_B1, check_cor_B2, check_cor_B3, check_cor_B4)
     assert all(check(ws) for check in checks)
-    # each check reads the polynomials it is given
-    wrong = ws[:2] + [ws[2] + 1] + ws[3:]
-    assert not any(check(wrong) for check in checks)
+    # each check reads the polynomials it is given, W_0 included
+    for wrong in (ws[:2] + [ws[2] + 1] + ws[3:], [ws[0] + 1] + ws[1:]):
+        assert not any(check(wrong) for check in checks)
 
 
 def test_triple_agreement_fraction_oracle_recurrence():
@@ -201,3 +205,30 @@ def test_closed_form_u_eq_x_values():
 
 def test_check_closed_form_u_eq_x():
     assert check_closed_form_u_eq_x(6)
+
+
+def test_explicit_inverse_series_is_the_closed_form_egf():
+    # The binomial expansion of (1+zt)^(w/z) and the closed forms x_m are
+    # separate computations of the same inverse R(t) = t - sum x_m t^(m+1)/(m+1)!.
+    for m in range(1, 7):
+        closed = [Polynomial.one()] + [-closed_form_u_eq_x(j) for j in range(1, m + 1)]
+        assert _explicit_inverse_series(m + 1) == _egf(closed)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ward_triangle(-1), id="ward_triangle(-1)"),
+    pytest.param(lambda: ward_poly(-1), id="ward_poly(-1)"),
+    pytest.param(lambda: ward_poly(-3), id="ward_poly(-3)"),
+    pytest.param(lambda: eulerian2_triangle(-1), id="eulerian2_triangle(-1)"),
+    pytest.param(lambda: list(enumerate_stirling_perms(-1)), id="enumerate_stirling_perms(-1)"),
+    pytest.param(lambda: count_assoc_stirling(-1, 0), id="count_assoc_stirling(-1, 0)"),
+    pytest.param(lambda: multivariate_ward(-1), id="multivariate_ward(-1)"),
+    pytest.param(lambda: multivariate_ward_via_inversion(-1),
+                 id="multivariate_ward_via_inversion(-1)"),
+    pytest.param(lambda: check_closed_form_u_eq_x(0), id="check_closed_form_u_eq_x(0)"),
+])
+def test_size_below_range_is_an_error(call):
+    # A size below the least one must not read as an empty or one-entry
+    # answer, nor fail deep inside with IndexError or RecursionError.
+    with pytest.raises(ValueError, match="at least|nonnegative"):
+        call()
