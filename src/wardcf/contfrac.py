@@ -16,7 +16,8 @@ ladder determines the series exactly modulo t^(order+1).
 
 The stated fractions are the named families behind ``expand``, Theorem 1.2's
 five-variable one and Corollary 2.3's 18- and 12-variable ones; the counts
-they are checked against are in ``matchings``.  All but master-T and the
+they are checked against are in ``matchings``, whose class tables the
+Corollary 2.3 ones read by one rule (``_record``).  All but master-T and the
 Corollary 2.3 ones are points (x, u, z, w) of the linear fraction
 alpha_i = x + (i-1)u, delta_i = z + (i-1)w (``_linear``): ward (x, x, 0, 1),
 ward-reversed (1, 1, 0, x), generalized-ward (x, u, z, w), semifactorial
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .matchings import IndexedWeights, star
+from .matchings import _CLASSES_12, _CLASSES_18, IndexedWeights, star
 from .poly import Polynomial, Series, var
 
 CoeffFn = Callable[[int], Polynomial]
@@ -204,46 +205,34 @@ def _pq_line(m: int, p: Polynomial, q: Polynomial, x: Polynomial, u: Polynomial)
     return p**m * x + q * pq_bracket(m, p, q) * u
 
 
-def tfraction_18var() -> TCoeffs:
-    """Coefficient sequences matching poly_18var.
+def _record(classes: tuple[tuple[str, ...], ...]) -> TCoeffs:
+    """The T-fraction of ``matchings._record_poly`` over the same class table.
 
-    Odd and even levels carry the x/u resp. y/v pairs; the wiggly and
-    dashed families contribute to the level weights one resp. zero steps
-    behind, with delta_1 = x''.
+    A row (x, y, u, v, p, q) enters level i, b steps behind, as
+    _pq_line(i - 1 - b, p, q, x, u) when i - b is odd and with y, v in
+    place of x, u when it is even.  The pure row makes alpha_i with b = 0;
+    delta_i is the wiggly row with b = 1 plus the dashed row with b = 0.
     """
-    x, y, u, v = var("x"), var("y"), var("u"), var("v")
-    xp, yp, up, vp = var("x'"), var("y'"), var("u'"), var("v'")
-    xpp, ypp, upp, vpp = var("x''"), var("y''"), var("u''"), var("v''")
-    p, q = var("p"), var("q")
-    pp, qp = var("p'"), var("q'")
-    ppp, qpp = var("p''"), var("q''")
+    made = {name: var(name) for name in dict.fromkeys(n for row in classes for n in row)}
+    pure, wiggly, dashed = ([made[name] for name in row] for row in classes)
 
-    def alpha(i: int) -> Polynomial:
-        if i % 2 == 1:
-            return _pq_line(i - 1, p, q, x, u)
-        return _pq_line(i - 1, p, q, y, v)
+    def line(row: list[Polynomial], i: int, behind: int) -> Polynomial:
+        x, y, u, v, p, q = row
+        if (i - behind) % 2:
+            return _pq_line(i - 1 - behind, p, q, x, u)
+        return _pq_line(i - 1 - behind, p, q, y, v)
 
-    def delta(i: int) -> Polynomial:
-        if i % 2 == 1:
-            return _pq_line(i - 2, pp, qp, yp, vp) + _pq_line(i - 1, ppp, qpp, xpp, upp)
-        return _pq_line(i - 2, pp, qp, xp, up) + _pq_line(i - 1, ppp, qpp, ypp, vpp)
+    return TCoeffs(lambda i: line(pure, i, 0), lambda i: line(wiggly, i, 1) + line(dashed, i, 0))
 
-    return TCoeffs(alpha, delta)
+
+def tfraction_18var() -> TCoeffs:
+    """Coefficient sequences matching poly_18var, with delta_1 = x''."""
+    return _record(_CLASSES_18)
 
 
 def tfraction_12var() -> TCoeffs:
     """Coefficient sequences matching poly_12var (parity forgotten)."""
-    x, u = var("x"), var("u")
-    xp, up = var("x'"), var("u'")
-    xpp, upp = var("x''"), var("u''")
-    p, q = var("p"), var("q")
-    pp, qp = var("p'"), var("q'")
-    ppp, qpp = var("p''"), var("q''")
-
-    def delta(i: int) -> Polynomial:
-        return _pq_line(i - 2, pp, qp, xp, up) + _pq_line(i - 1, ppp, qpp, xpp, upp)
-
-    return TCoeffs(lambda i: _pq_line(i - 1, p, q, x, u), delta)
+    return _record(_CLASSES_12)
 
 
 def tfraction_12var_bis1() -> TCoeffs:

@@ -1,27 +1,26 @@
 """Coefficientwise Hankel total positivity checks at desk scale.
 
 The m x m Hankel section of a polynomial sequence P has entry (i, j) equal
-to P_{i+j}.  A sequence is coefficientwise Hankel-totally positive when
-every minor (every row subset against every column subset, not only
-contiguous ones) is a polynomial with nonnegative coefficients; this
-module checks all r x r minors with r <= r_max exactly.
+to P_{i+j}, so it is determined by its 2m - 1 moments P_0..P_{2m-2}, and
+``HankelSection`` holds exactly those.  A sequence is coefficientwise
+Hankel-totally positive when every minor (every row subset against every
+column subset, not only contiguous ones) is a polynomial with nonnegative
+coefficients; this module checks all r x r minors with r <= r_max exactly.
 
-Determinants are exact.  The minor scan reads the section's terms as
+Determinants are exact.  The minor scan reads the moments' terms as
 Monomials and re-packs each into an integer key of its own, tighter than a
 polynomial's (``_packed_section``), so that monomial products are additions
 of short integers; an offending minor comes back as a Polynomial built from
 Monomials.  The scan goes level by level: the r x r minors are expanded
 along their first row into the (r-1) x (r-1) minors, which are then
 dropped.  A Hankel section is symmetric, so each level keeps only the
-pairs with rows <= cols, and the scan checks that symmetry before it
-starts.  Each minor is summed in a dict and, once finished, kept as two
-parallel columns of keys and coefficients (``_store``): an ``array('q')``
-of 8 bytes a value when every value fits in a signed 64-bit word, a tuple
-otherwise.  ``hankel --family generalized-ward --size 6`` peaked at 43.3
-MB of RSS with dicts of boxed ints and peaks at 20.6 MB with columns.  The
-tests hold the references it is checked against: cofactor expansion,
-fraction-free (Bareiss) elimination with exact polynomial division, and a
-memoized scan on Polynomials.
+pairs with rows <= cols.  Each minor is summed in a dict and, once
+finished, kept as two parallel columns of keys and coefficients
+(``_store``): an ``array('q')`` of 8 bytes a value when every value fits
+in a signed 64-bit word, a tuple otherwise.  The tests hold the references
+it is checked against: cofactor expansion, fraction-free (Bareiss)
+elimination with exact polynomial division, and a memoized scan on
+Polynomials.
 """
 
 from __future__ import annotations
@@ -36,18 +35,19 @@ from .ward import generalized_ward_cf, ward_poly
 
 
 class HankelSection(NamedTuple):
-    """Symmetric m x m section with entries drawn from a sequence."""
+    """The m x m Hankel section whose entry (i, j) is moments[i + j]."""
 
-    m: int
-    entries: tuple[tuple[Polynomial, ...], ...]
+    moments: tuple[Polynomial, ...]  # P_0..P_{2m-2}
+
+    @property
+    def m(self) -> int:
+        return (len(self.moments) + 1) // 2
 
 
 def hankel_section(seq: Callable[[int], Polynomial], m: int) -> HankelSection:
     if m < 1:
         raise ValueError("section size must be positive")
-    cache = [Polynomial._coerce_or_raise(seq(n)) for n in range(2 * m - 1)]
-    rows = tuple(tuple(cache[i + j] for j in range(m)) for i in range(m))
-    return HankelSection(m, rows)
+    return HankelSection(tuple(Polynomial._coerce_or_raise(seq(n)) for n in range(2 * m - 1)))
 
 
 # -- the all-minors scan on packed keys -------------------------------------------------
@@ -57,27 +57,12 @@ _Stored = tuple[Sequence[int], Sequence[Rat]]
 
 
 def _check_section(h: HankelSection) -> None:
-    """Raise ValueError at the first (i, j), row by row, where h is not an
-    m x m section of Polynomials constant along its anti-diagonals."""
-    m = h.m
-    if type(m) is not int:
-        raise ValueError(f"section size {m!r} is not an int")
-    for i, row in enumerate(h.entries):
-        if i >= m or len(row) != m:
-            j = 0 if i >= m else min(len(row), m)
-            raise ValueError(f"entry ({i}, {j}): the section is not {m} x {m}")
-        for j, p in enumerate(row):
-            if not isinstance(p, Polynomial):
-                raise ValueError(f"entry ({i}, {j}) is not a Polynomial")
-            # The first entry of this anti-diagonal, in a row already checked.
-            i0 = max(0, i + j - m + 1)
-            j0 = i + j - i0
-            q = h.entries[i0][j0]
-            if q is not p and q != p:
-                raise ValueError(f"entry ({i}, {j}) differs from entry ({i0}, {j0}) on its"
-                                 " anti-diagonal")
-    if len(h.entries) < m:
-        raise ValueError(f"entry ({len(h.entries)}, 0): the section is not {m} x {m}")
+    """Raise ValueError unless h holds an odd number of Polynomials."""
+    if len(h.moments) % 2 == 0:
+        raise ValueError(f"{len(h.moments)} moments: an m x m section has 2m - 1")
+    for n, p in enumerate(h.moments):
+        if not isinstance(p, Polynomial):
+            raise ValueError(f"moment {n} is not a Polynomial")
 
 
 def _pack(items: list[tuple[Monomial, Rat]], variables: list[VarId], base: int) -> dict[int, Rat]:
@@ -126,8 +111,8 @@ def _add_product(acc: dict[int, Rat], a: dict[int, Rat], b: _Stored, sign: int) 
             acc[k] = get(k, 0) + c1 * c2
 
 
-def _packed_section(h: HankelSection) -> tuple[list[VarId], int, list[list[dict[int, Rat]]]]:
-    """The section's variables in VarId order, the base, and its entries packed.
+def _packed_section(h: HankelSection) -> tuple[list[VarId], int, list[dict[int, Rat]]]:
+    """The section's variables in VarId order, the base, and its moments packed.
 
     A monomial's key holds its exponents as the digits of one integer, in
     the power-of-two base just above the largest exponent a minor can have
@@ -136,15 +121,13 @@ def _packed_section(h: HankelSection) -> tuple[list[VarId], int, list[list[dict[
     polynomial's own 16-bit slots over the same variables span several, and
     the scan's dict merges run faster on them.
     """
-    # A Hankel section repeats each entry along its anti-diagonal.
-    items = {id(p): p.items() for row in h.entries for p in row}
-    exps = [m.exps for terms in items.values() for m, _ in terms]
+    items = [p.items() for p in h.moments]
+    exps = [m.exps for terms in items for m, _ in terms]
     variables = sorted({v for pairs in exps for v, _ in pairs})
     # A minor multiplies at most m entries.
     largest = max((e for pairs in exps for _, e in pairs), default=0) * h.m
     base = 1 << max(largest.bit_length(), 1)
-    packed = {i: _pack(terms, variables, base) for i, terms in items.items()}
-    return variables, base, [[packed[id(p)] for p in row] for row in h.entries]
+    return variables, base, [_pack(terms, variables, base) for terms in items]
 
 
 def all_minors_nonneg(
@@ -155,23 +138,21 @@ def all_minors_nonneg(
     Returns (True, None) or (False, (rows, cols, minor)) with the first
     offending subset pair in the order r, then rows, then cols, each
     lexicographic.  Level r is expanded along the first row from level
-    r - 1 alone, and at most these two levels are held.  Minor (rows, cols)
-    equals minor (cols, rows) in a symmetric section, so only pairs with
-    rows <= cols are computed; the first offending pair always has
-    rows <= cols, since its mirror would come earlier; a section that is
-    not m x m, holds a non-Polynomial or is not constant along an
-    anti-diagonal is a ValueError.  The minors are held on the scan's own
+    r - 1 alone, and at most these two levels are held.  A Hankel section
+    is symmetric, so minor (rows, cols) equals minor (cols, rows) and only
+    pairs with rows <= cols are computed; the first offending pair always has
+    rows <= cols, since its mirror would come earlier; a section whose
+    moments are not an odd number of Polynomials is a ValueError.  Entry
+    (i, j) is read as moment i + j.  The minors are held on the scan's own
     keys (``_packed_section``), never as Polynomials: each finished minor
     is two columns, keys and coefficients, packed in an ``array('q')``
-    where they fit in 64 bits and a tuple where they do not (``_store``),
-    which holds the generalized-Ward size-5 scan to 0.66 MB of traced
-    allocations against 2.7 MB on dicts.  Only the offending minor is
-    unpacked.
+    where they fit in 64 bits and a tuple where they do not (``_store``).
+    Only the offending minor is unpacked.
     """
     _check_section(h)
     if not 1 <= r_max <= h.m:
         raise ValueError(f"r_max must be within 1..{h.m}")
-    variables, base, grid = _packed_section(h)
+    variables, base, packed = _packed_section(h)
     previous = {((), ()): _store({0: 1})}  # the 0 x 0 minor is 1
     for r in range(1, r_max + 1):
         subsets = list(combinations(range(h.m), r))
@@ -181,7 +162,7 @@ def all_minors_nonneg(
             for cols in subsets[i:]:
                 minor: dict[int, Rat] = {}
                 for idx, col in enumerate(cols):
-                    entry = grid[first][col]
+                    entry = packed[first + col]
                     if entry:
                         sub = cols[:idx] + cols[idx + 1 :]
                         below = previous[(rest, sub) if rest <= sub else (sub, rest)]

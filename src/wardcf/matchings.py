@@ -489,6 +489,8 @@ _CLASSES_18 = (
     ("x'", "y'", "u'", "v'", "p'", "q'"),
     ("x''", "y''", "u''", "v''", "p''", "q''"),
 )
+# The same classes with the even/odd distinction forgotten (y, v -> x, u).
+_CLASSES_12 = tuple((x, x, u, u, p, q) for x, _, u, _, p, q in _CLASSES_18)
 
 
 def _record_poly(n: int, classes: tuple[tuple[str, ...], ...]) -> Polynomial:
@@ -516,7 +518,7 @@ def poly_18var(n: int) -> Polynomial:
 def poly_12var(n: int) -> Polynomial:
     """poly_18var with the even/odd distinction forgotten (y, v -> x, u in
     every class), from its own sweep."""
-    return _record_poly(n, tuple((x, x, u, u, p, q) for x, _, u, _, p, q in _CLASSES_18))
+    return _record_poly(n, _CLASSES_12)
 
 
 def generalized_ward_oracle(n: int) -> Polynomial:

@@ -191,12 +191,6 @@ class Monomial:
     def __le__(self, other: "Monomial"):
         return self == other or self < other
 
-    def exponent(self, v: VarId) -> int:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
-
     def variables(self) -> tuple[VarId, ...]:
         return tuple(v for v, _ in self.exps)
 

@@ -44,6 +44,15 @@ def _canon(children) -> tuple:
     return tuple(sorted(children, key=_min_leaf))
 
 
+def _nodes(node: Node, out: list[Node]) -> list[Node]:
+    """out with node and then its descendants appended in preorder."""
+    out.append(node)
+    if type(node) is tuple:
+        for c in node:
+            _nodes(c, out)
+    return out
+
+
 class PhyloTree:
     """Canonical rooted tree with labeled leaves and >=2 children per
     internal vertex."""
@@ -76,17 +85,7 @@ class PhyloTree:
         return _canon(children)
 
     def leaves(self) -> list[int]:
-        out = []
-
-        def walk(node):
-            if isinstance(node, int):
-                out.append(node)
-            else:
-                for c in node:
-                    walk(c)
-
-        walk(self.root)
-        return out
+        return [node for node in _nodes(self.root, []) if type(node) is int]
 
     @property
     def n(self) -> int:
@@ -96,18 +95,8 @@ class PhyloTree:
         return len(self.child_sizes())
 
     def child_sizes(self) -> list[int]:
-        """Number of children of each internal vertex, in walk order."""
-        out = []
-
-        def walk(node):
-            if isinstance(node, int):
-                return
-            out.append(len(node))
-            for c in node:
-                walk(c)
-
-        walk(self.root)
-        return out
+        """Number of children of each internal vertex, in preorder."""
+        return [len(node) for node in _nodes(self.root, []) if type(node) is tuple]
 
     def __eq__(self, other):
         return isinstance(other, PhyloTree) and self.root == other.root

@@ -5,10 +5,12 @@ the whole of it; ``matchings`` states the counting side of the identities and
 imports nothing of the package but ``poly``; and the graph has no cycle.
 Importing ``wardcf.cli``, which every command-line run pays, pulls in
 neither ``dataclasses`` nor ``inspect``: the value types are NamedTuples,
-and they stay immutable.
+and they stay immutable.  Every function and class the package defines is
+used somewhere in the repository.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,7 +115,7 @@ VALUES = {
     "FlajoletWeights": (paths.FlajoletWeights(_one, _one, _one), "level2"),
     "ArchSystem": (trees.ArchSystem(1, (), (), ((1, 1),)), "arches"),
     "BinNode": (trees.BinNode(1, 2), "right_wiggly"),
-    "HankelSection": (hankel.hankel_section(_one, 2), "entries"),
+    "HankelSection": (hankel.hankel_section(_one, 2), "moments"),
 }
 
 
@@ -124,3 +126,42 @@ def test_value_types_reject_field_assignment(name):
     with pytest.raises(AttributeError):
         setattr(value, field, None)
     assert getattr(value, field) is before
+
+
+# -- dead code ----------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+TREES = ("src", "tests", "demos", "bench")
+_DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*"
+
+
+def references(node):
+    """The names a module uses: names, attributes, imported names, and the
+    parts of every string that is a (dotted) identifier, as a tracer's
+    ``"poly.Polynomial.__mul__"`` or a ``monkeypatch.setattr`` target."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield from n.name.split(".")
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if re.fullmatch(_DOTTED, n.value):
+                yield from n.value.split(".")
+
+
+def test_every_definition_is_referenced():
+    sources = [p for t in TREES for p in sorted((ROOT / t).rglob("*.py"))]
+    used = set()
+    for p in sources:
+        used.update(references(ast.parse(p.read_text(), str(p))))
+    defined = {
+        f"{p.relative_to(ROOT)}:{n.lineno} {n.name}"
+        for p in sorted((ROOT / "src" / "wardcf").glob("*.py"))
+        for n in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (n.name.startswith("__") and n.name.endswith("__"))
+        and n.name not in used
+    }
+    assert not defined, sorted(defined)

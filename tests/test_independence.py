@@ -191,8 +191,18 @@ def leaves_1_and_2_swapped(original):
     return broken
 
 
+def not_divisible_by_w(original):
+    """The closed form with x z^m / w added, a division by w that is not exact."""
+
+    def broken(m):
+        return original(m) + (var("x") * var("z") ** m).div_var(ward.W)
+
+    return broken
+
+
 # (suite, module, attribute, how to break it): one side of each identity made
-# wrong by one term, weight, label, statistic, leaf or repeated object.
+# wrong by one term, weight, label, statistic, leaf, repeated object or
+# inexact division.
 BROKEN_SIDES = [
     ("flajolet", contfrac, "expand_J", add_t),
     ("appendixB", ward, "named_family", alpha_2_plus_one),
@@ -203,6 +213,7 @@ BROKEN_SIDES = [
     ("bijection-phylo", trees, "augmented_to_tree", leaves_1_and_2_swapped),
     ("lemma4.2", matchings, "qne", add_one),
     ("thm1.1", trees, "enumerate_phylo", first_item_twice),
+    ("closed-form-ux", ward, "closed_form_u_eq_x", not_divisible_by_w),
 ]
 BROKEN_SIDE_IDS = [
     suite if [case[0] for case in BROKEN_SIDES].count(suite) == 1 else f"{suite}-{attr}"

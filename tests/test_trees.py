@@ -121,6 +121,15 @@ def test_memo_holds_only_blocks_below_the_root(monkeypatch):
                 assert all(PhyloTree(t).internal_count() == j for t in shapes)
 
 
+def test_leaves_and_child_sizes_in_preorder():
+    tree = PhyloTree(((2, 3), (5, 1, 4)))
+    assert tree.root == ((1, 4, 5), (2, 3))
+    assert tree.leaves() == [1, 4, 5, 2, 3]
+    assert tree.child_sizes() == [2, 3, 2]
+    assert (tree.n, tree.internal_count()) == (4, 3)
+    assert PhyloTree(1).leaves() == [1] and PhyloTree(1).child_sizes() == []
+
+
 def test_phylo_counts_match_ward_triangle():
     tri = ward_triangle(5)
     assert len(list(enumerate_phylo(0, 0))) == 1
