@@ -10,13 +10,14 @@ private registry gives each variable, on its first use in a polynomial, a
 fixed 16-bit slot: 15 exponent bits and one guard bit above them.  A
 monomial's key holds each exponent in its variable's slot, so the key of a
 product is the sum of the keys.  Exponents are at most ``MAX_EXPONENT``;
-every product checks the guard bits once and raises ``OverflowError``
-rather than let an exponent carry into the next slot.  Slots follow the
-order of first use, which differs from process to process, so nothing
-visible depends on them: ``==`` and hashing compare keys within one
-process, and the canonical text orders monomials graded-lexicographically
-by VarId, an order computed only when printing, by sorts whose keys
-compare in C.  ``Monomial`` is the boundary type for building terms
+the guard bits are checked once per product, or once per accumulated sum
+of products, and an ``OverflowError`` is raised rather than let an
+exponent carry into the next slot.  Slots follow the order of first use,
+which differs from process to process, so nothing visible depends on
+them: ``==`` and hashing compare keys within one process, and the
+canonical text orders monomials graded-lexicographically by VarId, an
+order computed only when printing, by sorts whose keys compare in C.
+``Monomial`` is the boundary type for building terms
 (``Polynomial({Monomial: c})``) and reading them (``items()``).  This
 module is the only one that defines a key format: the decorated-matching
 transfer in ``matchings`` adds the registry's variable keys and checks its
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from operator import getitem, or_
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -66,11 +67,31 @@ def _clean(terms: dict) -> dict:
 
 
 def _accumulate(target: dict, terms: Mapping) -> None:
-    """Add a term map into an accumulator dict (zeros left for later sweep)."""
+    """Add a term map into an accumulator dict.
+
+    Zeros stay in target for the final sweep (``_clean``).
+    """
     get = target.get
     for m, c in terms.items():
-        prev = get(m)
-        target[m] = c if prev is None else prev + c
+        target[m] = get(m, 0) + c
+
+
+def _add_product(
+    acc: dict, a: Collection[tuple[int, Rat]], b: Collection[tuple[int, Rat]]
+) -> None:
+    """Add the product of two collections of (key, coefficient) pairs into
+    the accumulator acc, the shorter one in the outer loop.
+
+    Every key the product makes stays in acc, zeros included, so that one
+    ``_SLOTS.check(acc)`` before the final sweep sees all of them.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for k1, c1 in a:
+        for k2, c2 in b:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
 
 
 # Variable names: an ASCII letter, then ASCII letters, digits or primes.
@@ -425,12 +446,7 @@ class Polynomial:
             for k2, c2 in b.items():
                 out[k1 + k2] = c1 * c2
         else:
-            get = out.get
-            for k1, c1 in a.items():
-                for k2, c2 in b.items():
-                    k = k1 + k2
-                    prev = get(k)
-                    out[k] = c1 * c2 if prev is None else prev + c1 * c2
+            _add_product(out, a.items(), b.items())
         _SLOTS.check(out)
         return Polynomial._raw(_clean(out))
 
@@ -755,12 +771,13 @@ class Series:
         n = self.order
         acc: list[dict] = [{} for _ in range(n + 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    _accumulate(acc[i + j], (a * b).terms)
+            if a.terms:
+                left = a.terms.items()
+                for d, b in zip(acc[i:], other.coeffs):
+                    if b.terms:
+                        _add_product(d, left, b.terms.items())
+        for d in acc:
+            _SLOTS.check(d)
         return Series(n, [Polynomial._raw(_clean(d)) for d in acc])
 
     def scale(self, p: Polynomial | Rat) -> "Series":
@@ -782,8 +799,9 @@ class Series:
         for n in range(1, self.order + 1):
             acc: dict = {}
             for j in range(1, n + 1):
-                if not self.coeffs[j].is_zero():
-                    _accumulate(acc, (self.coeffs[j] * out[n - j]).terms)
+                if self.coeffs[j].terms:
+                    _add_product(acc, self.coeffs[j].terms.items(), out[n - j].terms.items())
+            _SLOTS.check(acc)
             out.append(
                 Polynomial._raw({k: -c if type(c) is int else _norm_coeff(-c) for k, c in acc.items() if c})
             )

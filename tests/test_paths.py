@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardcf.contfrac import TCoeffs, expand_T, named_family
 from wardcf.matchings import (
@@ -198,6 +200,37 @@ def test_exhaustive_round_trip_and_image():
         assert seen == legal  # image is exactly the bound-respecting paths
         for lp in legal:
             assert matching_to_path(path_to_matching(lp)) == lp
+
+
+@st.composite
+def decorated_matchings(draw, max_n=40):
+    """A matching that pairs off a shuffled vertex list, with random legal
+    wiggly lines and then random legal dashed lines on free vertices."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(1, 2 * n + 1)))
+    pm = PerfectMatching.from_pairs(zip(order[::2], order[1::2]))
+    wiggly = [
+        i for i in range(1, 2 * n)
+        if pm.is_closer(i) and pm.is_opener(i + 1) and draw(st.booleans())
+    ]
+    taken = {v for i in wiggly for v in (i, i + 1)}
+    dashed = [
+        i for i in range(1, 2 * n)
+        if pm.is_opener(i) and pm.is_closer(i + 1) and not taken & {i, i + 1}
+        and draw(st.booleans())
+    ]
+    return SuperMatching(pm, wiggly, dashed)
+
+
+@given(decorated_matchings())
+@settings(max_examples=150, deadline=None)
+def test_round_trip_far_past_the_exhaustive_sizes(sm):
+    # Deep paths: a labeling slip that only happens with many arches open
+    # never shows in the exhaustive sizes above.
+    lp = matching_to_path(sm)
+    assert satisfies_bounds(lp)
+    assert verify_heights(sm, lp.path)
+    assert path_to_matching(lp) == sm
 
 
 def test_path_to_matching_rejects_bad_labels():

@@ -15,6 +15,7 @@ from wardcf.poly import (
     Polynomial,
     Series,
     VarId,
+    _accumulate,
     parse_poly,
     var,
 )
@@ -315,6 +316,146 @@ def test_compositional_inverse_errors():
         Series(1, [0, x]).compositional_inverse()
 
 
+# -- the fused multiply-accumulate kernel ------------------------------------------------
+#
+# Series products and reciprocals add each coefficient product straight into
+# their accumulators.  The references below make every product as a dict of
+# its own, keyed by Monomial, and then add it in with _accumulate.
+
+
+def product_terms(p, q):
+    """p * q as a dict keyed by Monomial, built without packed keys."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1.exps)
+            for v, e in m2.exps:
+                exps[v] = exps.get(v, 0) + e
+            m = Monomial(exps.items())
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def unfused_mul(s, r):
+    n = s.order
+    acc = [{} for _ in range(n + 1)]
+    for i, a in enumerate(s.coeffs):
+        for j, b in enumerate(r.coeffs[: n + 1 - i]):
+            _accumulate(acc[i + j], product_terms(a, b))
+    return Series(n, [Polynomial(d) for d in acc])
+
+
+def unfused_reciprocal(s):
+    out = [Polynomial.one()]
+    for n in range(1, s.order + 1):
+        acc = {}
+        for j in range(1, n + 1):
+            _accumulate(acc, product_terms(s.coeffs[j], out[n - j]))
+        out.append(Polynomial({m: -c for m, c in acc.items()}))
+    return Series(s.order, out)
+
+
+def unfused_compose(s, inner):
+    result = Series.zero(s.order)
+    for c in reversed(s.coeffs):
+        result = unfused_mul(result, inner)
+        result = Series(s.order, (result.coeffs[0] + c,) + result.coeffs[1:])
+    return result
+
+
+def unfused_inverse(s):
+    n = s.order
+    if n == 0:
+        return Series.zero(0)
+    h = unfused_reciprocal(Series(n - 1, s.coeffs[1:]))
+    inv, power = [Polynomial.zero(), Polynomial.one()], h
+    for k in range(2, n + 1):
+        power = unfused_mul(power, h)
+        inv.append(power.coeffs[k - 1] * Fraction(1, k))
+    return Series(n, inv)
+
+
+def assert_integral_coefficients_are_ints(s):
+    for c in s.coeffs:
+        assert all(type(a) is int or a.denominator > 1 for _, a in c.items())
+
+
+# Two variables and exponents up to 2, so that products collide and cancel.
+XY = [VarId("x"), VarId("y")]
+COEFF_KINDS = [st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)]
+
+
+@st.composite
+def colliding_polys(draw, coeffs):
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = zip(XY, draw(st.tuples(st.integers(0, 2), st.integers(0, 2))))
+        terms[Monomial((v, e) for v, e in exps if e)] = draw(coeffs)
+    return Polynomial(terms)
+
+
+@st.composite
+def series_pairs(draw):
+    coeffs = draw(st.sampled_from(COEFF_KINDS))
+    order = draw(st.integers(0, 6))
+    return tuple(
+        Series(order, [draw(colliding_polys(coeffs)) for _ in range(order + 1)]) for _ in "sr"
+    )
+
+
+@given(series_pairs())
+@settings(max_examples=60, deadline=None)
+def test_fused_products_and_reciprocals_equal_the_unfused_ones(pair):
+    s, r = pair
+    product = s * r
+    assert product == unfused_mul(s, r)
+    assert_integral_coefficients_are_ints(product)
+    head_one = Series(s.order, (1,) + s.coeffs[1:])
+    reciprocal = head_one.reciprocal()
+    assert reciprocal == unfused_reciprocal(head_one)
+    assert_integral_coefficients_are_ints(reciprocal)
+
+
+@given(series_pairs())
+@settings(max_examples=30, deadline=None)
+def test_fused_compose_and_inverse_equal_the_unfused_ones(pair):
+    s, r = pair
+    inner = Series(s.order, (0,) + r.coeffs[1:])
+    assert s.compose(inner) == unfused_compose(s, inner)
+    invertible = Series(s.order, ((0, 1) + r.coeffs[2:])[: s.order + 1])
+    inverse = invertible.compositional_inverse()
+    assert inverse == unfused_inverse(invertible)
+    assert_integral_coefficients_are_ints(inverse)
+
+
+def test_fused_products_keep_integral_coefficients_int():
+    half = Series(2, [1, Fraction(1, 2), 0]) * Series(2, [1, 2, 0])
+    assert half == Series(2, [1, Fraction(5, 2), 1])
+    assert type(half.coeffs[2].coefficient(Monomial())) is int
+    # x y appears twice in each coefficient product below and cancels
+    cancelling = Series(1, [x + y, x - y]) * Series(1, [x - y, x + y])
+    assert cancelling == Series(1, [x**2 - y**2, 2 * x**2 + 2 * y**2])
+
+
+def test_series_products_make_no_polynomial_products(monkeypatch):
+    calls = []
+    real = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    s = Series(4, [1, x + y, x * y - 2, x**2 + y + 1, 3 * y - x])
+    r = Series(4, [x - 1, y + 2, 0, x * y + x, y**2 - x])
+    expected_product, expected_reciprocal = unfused_mul(s, r), unfused_reciprocal(s)
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    assert s * r == expected_product
+    assert s.reciprocal() == expected_reciprocal
+    assert not calls
+    assert x * y == real(x, y) and calls  # the patch does see a product
+
+
 @pytest.mark.parametrize("text", [
     "x y", "x+", "-", "+", "x * y", "- x", "x - -y", "x++y", "2*x\n*y", "*x", "x*", "",
     "\u0663*x", "a[\u0662]",
@@ -406,6 +547,19 @@ def test_exponent_limit_in_products():
     # the overflow of one variable's slot never reaches its neighbour's
     with pytest.raises(OverflowError):
         (top * y) * (x * y)
+    # Series products and reciprocals check each accumulated sum of products
+    with pytest.raises(OverflowError):
+        Series(1, [top, 0]) * Series(1, [x, 0])
+    with pytest.raises(OverflowError):
+        Series(1, [y + top, 0]) * Series(1, [top - z, 1])
+    # the t coefficient makes x^40000 twice, and the two cancel
+    with pytest.raises(OverflowError):
+        Series(1, [x**20000, -(x**30000)]) * Series(1, [x**10000, x**20000])
+    with pytest.raises(OverflowError):
+        Series(2, [1, -top, 0]).reciprocal()
+    with pytest.raises(OverflowError):
+        Series(3, [1, y - top, 0, z]).reciprocal()
+    assert Series(1, [top, 0]) * Series(1, [1, y]) == Series(1, [top, top * y])
 
 
 def test_exponent_limit_at_the_boundary():
