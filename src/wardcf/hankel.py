@@ -7,26 +7,39 @@ Hankel-totally positive when every minor (every row subset against every
 column subset, not only contiguous ones) is a polynomial with nonnegative
 coefficients; this module checks all r x r minors with r <= r_max exactly.
 
-Determinants are exact.  The minor scan reads the moments' terms as
-Monomials and re-packs each into an integer key of its own, tighter than a
-polynomial's (``_packed_section``), so that monomial products are additions
-of short integers; an offending minor comes back as a Polynomial built from
-Monomials.  The scan goes level by level: the r x r minors are expanded
-along their first row into the (r-1) x (r-1) minors, which are then
-dropped.  A Hankel section is symmetric, so each level keeps only the
-pairs with rows <= cols.  Each minor is summed in a dict and, once
-finished, kept as two parallel columns of keys and coefficients
-(``_store``): an ``array('q')`` of 8 bytes a value when every value fits
-in a signed 64-bit word, a tuple otherwise.  The tests hold the references
-it is checked against: cofactor expansion, fraction-free (Bareiss)
-elimination with exact polynomial division, and a memoized scan on
-Polynomials.
+Determinants are exact.  The minor scan packs the moments' terms on a
+layout of its own (``_Layout``), so that one product of two Python ints
+multiplies a whole run of terms in C.  With the section's variables v0,
+v1, v2, ... in VarId order, the term c v0^e0 v1^e1 v2^e2 ... goes to the
+integer key whose digits are (e0 + e1, e2, ...) and adds c L 2^(W e0) to
+that key's int, so slot e0 of the int is a signed W-bit digit.  The map
+is additive and injective: key sums and int products multiply the
+polynomials exactly, and a univariate section is one int per minor.  L,
+the lcm of the moments' denominators, makes every coefficient an integer
+and scales an r x r minor by L^r > 0, which keeps its signs.  W is one bit
+more than the largest permanent of the moments' l1 norms over the minors
+scanned, a bound on every coefficient of those minors, so an int holds a
+negative coefficient exactly when it is negative or has the top bit of one
+of its slots set: one test per key, and only an offending minor is
+decoded back into a Polynomial.
+
+The scan goes level by level: the r x r minors are expanded along their
+first row into the (r-1) x (r-1) minors, which are then dropped.  A
+Hankel section is symmetric, so each level keeps only the pairs with
+rows <= cols.  Each minor is summed in a dict and, once finished, kept as
+two parallel columns of keys and ints (``_store``): an ``array('q')`` of 8
+bytes a value when every value fits in a signed 64-bit word, a tuple
+otherwise.  The tests hold the references it is checked against:
+cofactor expansion, fraction-free (Bareiss) elimination with exact
+polynomial division, and a memoized scan on Polynomials.
 """
 
 from __future__ import annotations
 
 from array import array
+from fractions import Fraction
 from itertools import combinations, compress
+from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .eulerian import E2_reversed
@@ -52,8 +65,18 @@ def hankel_section(seq: Callable[[int], Polynomial], m: int) -> HankelSection:
 
 # -- the all-minors scan on packed keys -------------------------------------------------
 
-# A finished minor: its keys and its coefficients, as two parallel columns.
-_Stored = tuple[Sequence[int], Sequence[Rat]]
+# A finished minor: its keys and its packed ints, as two parallel columns.
+_Stored = tuple[Sequence[int], Sequence[int]]
+
+
+class _Layout(NamedTuple):
+    """Where the scan puts the term c v0^e0 v1^e1 v2^e2 ...: at the key whose
+    digits are (e0 + e1, e2, ...) in ``base``, as c * scale * 2^(width * e0)."""
+
+    variables: list[VarId]  # v0, v1, v2, ... in VarId order
+    base: int
+    width: int  # W, the bits of a signed slot
+    scale: int  # L, the lcm of the moments' denominators
 
 
 def _check_section(h: HankelSection) -> None:
@@ -65,10 +88,27 @@ def _check_section(h: HankelSection) -> None:
             raise ValueError(f"moment {n} is not a Polynomial")
 
 
-def _pack(items: list[tuple[Monomial, Rat]], variables: list[VarId], base: int) -> dict[int, Rat]:
-    """Terms as a map from packed keys to coefficients."""
-    place = {v: base**i for i, v in enumerate(variables)}
-    return {sum(e * place[v] for v, e in m.exps): c for m, c in items}
+def _slot_tops(width: int, slots: int) -> int:
+    """The int whose slots 0..slots-1, each width bits, have their top bit set."""
+    tops, filled = 1 << width - 1, 1
+    while filled < slots:
+        tops |= tops << width * filled
+        filled *= 2
+    return tops & (1 << width * slots) - 1
+
+
+def _pack(items: list[tuple[Monomial, Rat]], layout: _Layout) -> dict[int, int]:
+    """Terms, times L, as a map from packed keys to packed ints."""
+    variables, base, width, scale = layout
+    v0, *rest = variables or [None]
+    place = {v: base**i for i, v in enumerate(rest)}
+    place[v0] = 1 if rest else 0  # e0 is added into v1's digit
+    packed: dict[int, int] = {}
+    for m, c in items:
+        exps = dict(m.exps)
+        key = sum(e * place[v] for v, e in exps.items())
+        packed[key] = packed.get(key, 0) + (int(c * scale) << width * exps.get(v0, 0))
+    return packed
 
 
 def _column(values: list[Rat]) -> Sequence[Rat]:
@@ -87,15 +127,33 @@ def _store(terms: dict[int, Rat]) -> _Stored:
     return _column(list(compress(terms, coeffs))), _column(list(filter(None, coeffs)))
 
 
-def _unpack(stored: _Stored, variables: list[VarId], base: int) -> Polynomial:
-    """The Polynomial of a stored minor."""
+def _unpack(stored: _Stored, layout: _Layout, r: int) -> Polynomial:
+    """The Polynomial of a stored r x r minor: each int read as signed
+    W-bit digits, e1 restored as its digit minus e0, and L^r divided out."""
+    variables, base, width, scale = layout
+    half = 1 << width - 1
     monomials = {}
-    for key, c in zip(*stored):
-        exps = []
-        for v in variables:
+    for key, value in zip(*stored):
+        digits = []
+        for _ in variables[1:]:
             key, e = divmod(key, base)
-            exps.append((v, e))
-        monomials[Monomial(exps)] = c
+            digits.append(e)
+        # With 2^(W-1) added to each slot, every slot holds its digit plus
+        # 2^(W-1), in [0, 2^W), so no slot borrows from the next, and the
+        # slots that differ from 2^(W-1) hold the nonzero digits.
+        slots = value.bit_length() // width + 2
+        size = width * slots
+        tops = _slot_tops(width, slots)
+        biased = value + tops
+        bits, changed = (format(v, "b").zfill(size) for v in (biased, biased ^ tops))
+        at = changed.find("1")
+        while at >= 0:
+            e0 = (size - 1 - at) // width
+            end = size - width * e0
+            c = int(bits[end - width : end], 2) - half
+            exps = [e0, digits[0] - e0, *digits[1:]] if digits else [e0]
+            monomials[Monomial(zip(variables, exps))] = Fraction(c, scale**r)
+            at = changed.find("1", end)
     return Polynomial(monomials)
 
 
@@ -111,23 +169,55 @@ def _add_product(acc: dict[int, Rat], a: dict[int, Rat], b: _Stored, sign: int) 
             acc[k] = get(k, 0) + c1 * c2
 
 
-def _packed_section(h: HankelSection) -> tuple[list[VarId], int, list[dict[int, Rat]]]:
-    """The section's variables in VarId order, the base, and its moments packed.
+def _largest_permanent(norms: list[int], m: int, r_max: int) -> int:
+    """The largest permanent of the matrix norms[i + j] over rows R and
+    columns C, for every r x r pair with r <= r_max.
 
-    A monomial's key holds its exponents as the digits of one integer, in
-    the power-of-two base just above the largest exponent a minor can have
-    and in the order of the variables, so the key of a product is the sum
-    of the keys.  These keys are usually a single CPython digit, where a
-    polynomial's own 16-bit slots over the same variables span several, and
-    the scan's dict merges run faster on them.
+    With norms the l1 norms of the moments, it bounds the absolute value
+    of every coefficient of every minor the scan computes.  It is the
+    scan's first-row recursion, on ints.
+    """
+    largest = 0
+    previous = {((), ()): 1}
+    for r in range(1, r_max + 1):
+        subsets = list(combinations(range(m), r))
+        level: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for i, rows in enumerate(subsets):
+            first, rest = rows[0], rows[1:]
+            for cols in subsets[i:]:
+                total = 0
+                for idx, col in enumerate(cols):
+                    sub = cols[:idx] + cols[idx + 1 :]
+                    total += norms[first + col] * previous[(rest, sub) if rest <= sub else (sub, rest)]
+                level[rows, cols] = total
+        largest = max(largest, *level.values())
+        previous = level
+    return largest
+
+
+def _packed_section(h: HankelSection, r_max: int) -> tuple[_Layout, int, list[dict[int, int]]]:
+    """The scan's layout for the minors with r <= r_max, the mask of the
+    top bits of the slots they use, and the moments packed.
+
+    Keys hold their digits in the power-of-two base just above m times the
+    largest digit of a moment, since a minor multiplies at most m entries;
+    they are usually a single CPython digit, and the scan's dict merges
+    run fast on them.  e0 is added into v1's digit rather than given a
+    digit of its own because moments such as generalized Ward's are
+    homogeneous: with a digit per variable, each key would hold one term.
     """
     items = [p.items() for p in h.moments]
-    exps = [m.exps for terms in items for m, _ in terms]
-    variables = sorted({v for pairs in exps for v, _ in pairs})
-    # A minor multiplies at most m entries.
-    largest = max((e for pairs in exps for _, e in pairs), default=0) * h.m
+    exps = [dict(m.exps) for terms in items for m, _ in terms]
+    variables = sorted({v for e in exps for v in e})
+    v0, v1 = (variables + [None, None])[:2]
+    largest = max((max([e.get(v0, 0) + e.get(v1, 0), *e.values()]) for e in exps), default=0) * h.m
     base = 1 << max(largest.bit_length(), 1)
-    return variables, base, [_pack(terms, variables, base) for terms in items]
+    scale = lcm(*(c.denominator for terms in items for _, c in terms))
+    norms = [int(sum(abs(c) for _, c in terms) * scale) for terms in items]
+    width = _largest_permanent(norms, h.m, r_max).bit_length() + 1  # slots are signed
+    layout = _Layout(variables, base, width, scale)
+    top = r_max * max((e.get(v0, 0) for e in exps), default=0)
+    return layout, _slot_tops(width, top + 1), [_pack(terms, layout) for terms in items]
 
 
 def all_minors_nonneg(
@@ -143,16 +233,23 @@ def all_minors_nonneg(
     pairs with rows <= cols are computed; the first offending pair always has
     rows <= cols, since its mirror would come earlier; a section whose
     moments are not an odd number of Polynomials is a ValueError.  Entry
-    (i, j) is read as moment i + j.  The minors are held on the scan's own
-    keys (``_packed_section``), never as Polynomials: each finished minor
-    is two columns, keys and coefficients, packed in an ``array('q')``
-    where they fit in 64 bits and a tuple where they do not (``_store``).
+    (i, j) is read as moment i + j.
+
+    The minors are held on the scan's packed layout (``_Layout``), never
+    as Polynomials: a term c v0^e0 v1^e1 v2^e2 ... of a minor is c L^r
+    2^(W e0) in the int of the key with digits (e0 + e1, e2, ...), and
+    each finished minor is two columns, keys and ints, packed in an
+    ``array('q')`` where they fit in 64 bits and a tuple where they do
+    not (``_store``).  W is one bit more than the largest permanent of
+    the moments' l1 norms over the minors scanned, which bounds every
+    coefficient, so a minor has a negative coefficient exactly when one
+    of its ints is negative or has the top bit of a slot set (``mask``).
     Only the offending minor is unpacked.
     """
     _check_section(h)
     if not 1 <= r_max <= h.m:
         raise ValueError(f"r_max must be within 1..{h.m}")
-    variables, base, packed = _packed_section(h)
+    layout, mask, packed = _packed_section(h, r_max)
     previous = {((), ()): _store({0: 1})}  # the 0 x 0 minor is 1
     for r in range(1, r_max + 1):
         subsets = list(combinations(range(h.m), r))
@@ -160,7 +257,7 @@ def all_minors_nonneg(
         for i, rows in enumerate(subsets):
             first, rest = rows[0], rows[1:]
             for cols in subsets[i:]:
-                minor: dict[int, Rat] = {}
+                minor: dict[int, int] = {}
                 for idx, col in enumerate(cols):
                     entry = packed[first + col]
                     if entry:
@@ -168,8 +265,9 @@ def all_minors_nonneg(
                         below = previous[(rest, sub) if rest <= sub else (sub, rest)]
                         _add_product(minor, entry, below, -1 if idx % 2 else 1)
                 stored = _store(minor)
-                if min(stored[1], default=0) < 0:
-                    return False, (rows, cols, _unpack(stored, variables, base))
+                values = stored[1]
+                if min(values, default=0) < 0 or any(map(mask.__and__, values)):
+                    return False, (rows, cols, _unpack(stored, layout, r))
                 level[rows, cols] = stored
         previous = level
     return True, None

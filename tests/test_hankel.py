@@ -5,10 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wardcf import cli
+from wardcf import cli, hankel
 from wardcf.hankel import (
     HankelSection,
     _add_product,
@@ -424,14 +424,17 @@ def packable_polys(draw):
 
 
 def packed_product(p, q, r, sign, short_bits=0):
-    """r + sign*p*q on the scan's keys of the section [[p, q], [q, r]],
-    in the scan's base for it, or in a base short_bits bits smaller; q
-    is read in the form the scan stores a finished minor in."""
-    variables, base, _ = _packed_section(hankel_section(lambda n: (p, q, r)[n], 2))
-    base >>= short_bits
-    acc = _pack(r.items(), variables, base)
-    _add_product(acc, _pack(p.items(), variables, base), _store(_pack(q.items(), variables, base)), sign)
-    return _unpack(_store(acc), variables, base)
+    """r + sign*p*q on the scan's layout for the section with moments
+    (p, r, q), in the scan's base for it, or in a base short_bits bits
+    smaller; q is read in the form the scan stores a finished minor in.
+    The coefficients are integers, so L = 1, and the section's 2 x 2 minor
+    pq - r^2 has the permanent |p||q| + |r|^2, which bounds every
+    coefficient of r + sign*p*q and so sets a wide enough slot."""
+    layout, _, _ = _packed_section(hankel_section(lambda n: (p, r, q)[n], 2), 2)
+    layout = layout._replace(base=layout.base >> short_bits)
+    acc = _pack(r.items(), layout)
+    _add_product(acc, _pack(p.items(), layout), _store(_pack(q.items(), layout)), sign)
+    return _unpack(_store(acc), layout, 1)
 
 
 @given(packable_polys(), packable_polys(), packable_polys(), st.sampled_from([1, -1]))
@@ -443,15 +446,76 @@ def test_packed_product_matches_polynomial_product(p, q, r, sign):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("largest", [1, 2, 3, 4, 7, 8, 100])
 def test_packed_product_at_the_exponent_bound(sign, largest):
-    # p*q reaches twice the largest exponent, the bound the scan's base
-    # holds for a product of two entries; one bit less carries.
+    # a and b are v0 and v1, so a * b^largest has the digit largest + 1,
+    # as x^(largest + 1) has; p*q reaches twice it in x, the bound the
+    # scan's base holds for a product of two entries; one bit less carries.
     a, b = var("a", 1), var("b", 2, 1)
-    p = x**largest * z + 2 * b**largest
-    q = x**largest - 3 * a * b**largest
+    p = x ** (largest + 1) * z + 2 * b**largest
+    q = x ** (largest + 1) - 3 * a * b**largest
     r = 5 * x * z**largest
     exact = r + sign * p * q
     assert packed_product(p, q, r, sign) == exact
     assert packed_product(p, q, r, sign, short_bits=1) != exact
+
+
+@st.composite
+def round_trip_cases(draw):
+    """A polynomial in 0-4 variables with ints of both signs, some past
+    64 bits, and Fractions, and how many bits to widen its base by: the
+    layout stays valid, and its keys pass 64 bits."""
+    variables = draw(st.lists(st.sampled_from(PACKED_VARS), max_size=4, unique=True))
+    coefficient = st.one_of(
+        st.integers(-5, 5),
+        st.sampled_from(BOUNDARY + [3**50, -(3**50)]),
+        st.fractions(-5, 5, max_denominator=6),
+    )
+    p = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        exps = {v: draw(st.sampled_from([0, 1, 2, 9, 300])) for v in variables}
+        p = p + Polynomial({Monomial(exps.items()): draw(coefficient)})
+    return p, draw(st.sampled_from([0, 24]))
+
+
+WIDE_KEY = 3 * Polynomial({Monomial((v, 300) for v in PACKED_VARS): 1}) - Fraction(2**64, 5)
+
+
+@given(round_trip_cases())
+@example((WIDE_KEY, 24))
+@settings(max_examples=150, deadline=None)
+def test_pack_store_unpack_round_trip(case):
+    p, widen = case
+    layout, _, _ = _packed_section(HankelSection((p,)), 1)
+    layout = layout._replace(base=layout.base << widen)
+    stored = _store(_pack(p.items(), layout))
+    if p == WIDE_KEY:
+        assert max(stored[0]) >= 2**64
+    assert _unpack(stored, layout, 1) == p
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        Polynomial.const(3),
+        3 * x,
+        3 * var("a", 1) * x**2,
+        Polynomial.const(Fraction(3, 2)) * x * z,
+    ],
+    ids=["constant", "one-variable", "folded", "fraction"],
+)
+def test_minor_at_the_slot_width_bound(entry, monkeypatch):
+    # The section (0, entry, 0) has the 2 x 2 minor -entry^2, whose
+    # coefficient times L^2 is -9: it reaches the largest permanent, 9,
+    # so the slots are 9's bit length plus one bit wide, and one bit
+    # narrower -9 no longer fits its slot.
+    zero = Polynomial.zero()
+    h = HankelSection((zero, entry, zero))
+    expected = (False, ((0, 1), (0, 1), -(entry * entry)))
+    layout, _, _ = _packed_section(h, 2)
+    assert layout.width == (9).bit_length() + 1
+    assert all_minors_nonneg(h, 2) == expected
+    bound = hankel._largest_permanent
+    monkeypatch.setattr(hankel, "_largest_permanent", lambda *args: bound(*args) >> 1)
+    assert all_minors_nonneg(h, 2) != expected
 
 
 def test_hankel_verb_reports_a_negative_minor(capsys, monkeypatch):
@@ -469,4 +533,31 @@ def test_hankel_verb_reports_a_negative_minor(capsys, monkeypatch):
     assert (rows, cols) == ((0, 1), (0, 1))
     expected = memoized_minor(hankel_section(seq, 3))(rows, cols)
     assert expected == 3 * x**3 - 2 * x
+    assert parse_poly(found["minor"]) == expected
+
+
+@pytest.mark.parametrize(
+    "seq, expected",
+    [
+        # Fraction moments: the scan holds the minor times L^2 = 48^2.
+        (
+            lambda n: (
+                1 + Fraction(1, 3) * x**2 + Fraction(3, 2) * x**3 if n == 2
+                else (1 + Fraction(1, 2) * x) ** n
+            ),
+            Fraction(3, 2) * x**3 + Fraction(1, 12) * x**2 - x,
+        ),
+        # Two variables: x is v0, and z's exponent comes back from the
+        # digit that holds both.
+        (lambda n: x**2 + z**2 + 3 * x**3 * z if n == 2 else (x + z) ** n, 3 * x**3 * z - 2 * x * z),
+    ],
+    ids=["fractions", "two-variables"],
+)
+def test_hankel_verb_reports_an_exact_minor(seq, expected, capsys, monkeypatch):
+    monkeypatch.setitem(cli._HANKEL_SEQS, "ward", seq)
+    assert cli.run(["hankel", "--family", "ward", "--size", "3"]) == 1
+    found = json.loads(capsys.readouterr().out)["counterexample"]
+    rows, cols = tuple(found["rows"]), tuple(found["cols"])
+    assert (rows, cols) == ((0, 1), (0, 1))
+    assert memoized_minor(hankel_section(seq, 3))(rows, cols) == expected
     assert parse_poly(found["minor"]) == expected

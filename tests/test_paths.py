@@ -233,6 +233,34 @@ def test_round_trip_far_past_the_exhaustive_sizes(sm):
     assert path_to_matching(lp) == sm
 
 
+@st.composite
+def labeled_paths(draw, max_length=80):
+    """A labeled Schroeder path from a random walk of its own: at each
+    abscissa a step after which the walk can still return to the axis, and
+    a label within the step's bound at its starting height h (a rise 1, a
+    fall or a color-1 level 1..h, a color-2 level 1..h+1)."""
+    length = 2 * draw(st.integers(0, max_length // 2))
+    steps, labels, h = [], [], 0
+    while len(steps) < length:
+        left = length - len(steps)
+        allowed = {"R": h + 2 <= left, "F": h >= 1, "W": 1 <= h <= left - 2, "D": h <= left - 2}
+        kind = draw(st.sampled_from([k for k, ok in allowed.items() if ok]))
+        steps.append(kind)
+        labels.append(draw(st.integers(1, {"R": 1, "F": h, "W": h, "D": h + 1}[kind])))
+        if kind in "WD":
+            steps.append(None)
+            labels.append(None)
+        h += {"R": 1, "F": -1}.get(kind, 0)
+    return LabeledSchroederPath(SchroederPath(steps), labels)
+
+
+@given(labeled_paths())
+@settings(max_examples=150, deadline=None)
+def test_inverse_round_trip_far_past_the_exhaustive_sizes(lp):
+    assert satisfies_bounds(lp)
+    assert matching_to_path(path_to_matching(lp)) == lp
+
+
 def test_path_to_matching_rejects_bad_labels():
     # fall at height 1 labeled 2: out of range
     path = SchroederPath(("R", "F"))

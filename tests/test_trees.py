@@ -2,6 +2,8 @@ import math
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardcf import trees
 from wardcf.matchings import PerfectMatching, SuperMatching, enumerate_augmented
@@ -268,6 +270,30 @@ def test_exhaustive_round_trip():
             for tree in enumerate_phylo(n, k):
                 assert tree in image
                 assert augmented_to_tree(image[tree]) == tree
+
+
+@st.composite
+def augmented_matchings(draw, max_n=40):
+    """A matching that pairs off a shuffled vertex list, with random legal
+    wiggly lines."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(1, 2 * n + 1)))
+    pm = PerfectMatching.from_pairs(zip(order[::2], order[1::2]))
+    wiggly = [
+        i for i in range(1, 2 * n)
+        if pm.is_closer(i) and pm.is_opener(i + 1) and draw(st.booleans())
+    ]
+    return SuperMatching(pm, wiggly)
+
+
+@given(augmented_matchings())
+@settings(max_examples=100, deadline=None)
+def test_round_trip_far_past_the_exhaustive_sizes(sm):
+    tree = augmented_to_tree(sm)
+    assert tree.n == sm.base.n
+    assert tree.internal_count() == sm.base.n - len(sm.wiggly)
+    assert tree_to_augmented(tree) == sm
+    assert parse_tree(serialize_tree(tree)) == tree
 
 
 def test_arch_system_stage_round_trip():
