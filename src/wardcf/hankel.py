@@ -23,15 +23,16 @@ negative coefficient exactly when it is negative or has the top bit of one
 of its slots set: one test per key, and only an offending minor is
 decoded back into a Polynomial.
 
-The scan goes level by level: the r x r minors are expanded along their
-first row into the (r-1) x (r-1) minors, which are then dropped.  A
-Hankel section is symmetric, so each level keeps only the pairs with
-rows <= cols.  Each minor is summed in a dict and, once finished, kept as
-two parallel columns of keys and ints (``_store``): an ``array('q')`` of 8
-bytes a value when every value fits in a signed 64-bit word, a tuple
-otherwise.  The tests hold the references it is checked against:
-cofactor expansion, fraction-free (Bareiss) elimination with exact
-polynomial division, and a memoized scan on Polynomials.
+The scan goes level by level (``_minors``, which also computes W's
+permanents on ints): the r x r minors are expanded along their first row
+into the (r-1) x (r-1) minors, which are then dropped.  A Hankel section
+is symmetric, so each level keeps only the pairs with rows <= cols.  Each
+minor is summed in a dict and, once finished, kept as two parallel
+columns of keys and ints (``_store``): an ``array('q')`` of 8 bytes a
+value when every value fits in a signed 64-bit word, a tuple otherwise.
+The tests hold the references it is checked against: cofactor expansion,
+fraction-free (Bareiss) elimination with exact polynomial division, and a
+memoized scan on Polynomials.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from array import array
 from fractions import Fraction
 from itertools import combinations, compress
 from math import lcm
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .eulerian import E2_reversed
 from .poly import Monomial, Polynomial, Rat, VarId
@@ -169,30 +170,43 @@ def _add_product(acc: dict[int, Rat], a: dict[int, Rat], b: _Stored, sign: int) 
             acc[k] = get(k, 0) + c1 * c2
 
 
+def _minors(m: int, r_max: int, expand: Callable[[list], object], unit: object) -> Iterator[tuple]:
+    """Every r x r minor with r <= r_max of an m x m Hankel section, as
+    (r, rows, cols, minor), only the pairs with rows <= cols, in the order
+    r, then rows, then cols, each lexicographic.
+
+    The minor is expand(terms), its expansion along its first row: one
+    term (sign, i + j, minor without row i and column j) for each column j
+    in cols, i the first row, with unit the 0 x 0 minor.  Level r is
+    expanded from level r - 1 alone, and at most these two levels are held.
+    """
+    previous = {((), ()): unit}
+    for r in range(1, r_max + 1):
+        subsets = list(combinations(range(m), r))
+        level = {}
+        for i, rows in enumerate(subsets):
+            first, rest = rows[0], rows[1:]
+            for cols in subsets[i:]:
+                terms = []
+                for idx, col in enumerate(cols):
+                    sub = cols[:idx] + cols[idx + 1 :]
+                    below = previous[(rest, sub) if rest <= sub else (sub, rest)]
+                    terms.append((-1 if idx % 2 else 1, first + col, below))
+                minor = expand(terms)
+                yield r, rows, cols, minor
+                level[rows, cols] = minor
+        previous = level
+
+
 def _largest_permanent(norms: list[int], m: int, r_max: int) -> int:
     """The largest permanent of the matrix norms[i + j] over rows R and
     columns C, for every r x r pair with r <= r_max.
 
     With norms the l1 norms of the moments, it bounds the absolute value
-    of every coefficient of every minor the scan computes.  It is the
-    scan's first-row recursion, on ints.
+    of every coefficient of every minor the scan computes.
     """
-    largest = 0
-    previous = {((), ()): 1}
-    for r in range(1, r_max + 1):
-        subsets = list(combinations(range(m), r))
-        level: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for i, rows in enumerate(subsets):
-            first, rest = rows[0], rows[1:]
-            for cols in subsets[i:]:
-                total = 0
-                for idx, col in enumerate(cols):
-                    sub = cols[:idx] + cols[idx + 1 :]
-                    total += norms[first + col] * previous[(rest, sub) if rest <= sub else (sub, rest)]
-                level[rows, cols] = total
-        largest = max(largest, *level.values())
-        previous = level
-    return largest
+    permanent = lambda terms: sum(norms[n] * below for _, n, below in terms)
+    return max(minor for *_, minor in _minors(m, r_max, permanent, 1))
 
 
 def _packed_section(h: HankelSection, r_max: int) -> tuple[_Layout, int, list[dict[int, int]]]:
@@ -227,49 +241,27 @@ def all_minors_nonneg(
 
     Returns (True, None) or (False, (rows, cols, minor)) with the first
     offending subset pair in the order r, then rows, then cols, each
-    lexicographic.  Level r is expanded along the first row from level
-    r - 1 alone, and at most these two levels are held.  A Hankel section
-    is symmetric, so minor (rows, cols) equals minor (cols, rows) and only
-    pairs with rows <= cols are computed; the first offending pair always has
-    rows <= cols, since its mirror would come earlier; a section whose
-    moments are not an odd number of Polynomials is a ValueError.  Entry
-    (i, j) is read as moment i + j.
-
-    The minors are held on the scan's packed layout (``_Layout``), never
-    as Polynomials: a term c v0^e0 v1^e1 v2^e2 ... of a minor is c L^r
-    2^(W e0) in the int of the key with digits (e0 + e1, e2, ...), and
-    each finished minor is two columns, keys and ints, packed in an
-    ``array('q')`` where they fit in 64 bits and a tuple where they do
-    not (``_store``).  W is one bit more than the largest permanent of
-    the moments' l1 norms over the minors scanned, which bounds every
-    coefficient, so a minor has a negative coefficient exactly when one
-    of its ints is negative or has the top bit of a slot set (``mask``).
-    Only the offending minor is unpacked.
+    lexicographic.  Minor (rows, cols) equals minor (cols, rows), so the
+    first offending pair always has rows <= cols.  A section whose moments
+    are not an odd number of Polynomials, or an r_max outside 1..m, is a
+    ValueError.
     """
     _check_section(h)
     if not 1 <= r_max <= h.m:
         raise ValueError(f"r_max must be within 1..{h.m}")
     layout, mask, packed = _packed_section(h, r_max)
-    previous = {((), ()): _store({0: 1})}  # the 0 x 0 minor is 1
-    for r in range(1, r_max + 1):
-        subsets = list(combinations(range(h.m), r))
-        level: dict[tuple[tuple[int, ...], tuple[int, ...]], _Stored] = {}
-        for i, rows in enumerate(subsets):
-            first, rest = rows[0], rows[1:]
-            for cols in subsets[i:]:
-                minor: dict[int, int] = {}
-                for idx, col in enumerate(cols):
-                    entry = packed[first + col]
-                    if entry:
-                        sub = cols[:idx] + cols[idx + 1 :]
-                        below = previous[(rest, sub) if rest <= sub else (sub, rest)]
-                        _add_product(minor, entry, below, -1 if idx % 2 else 1)
-                stored = _store(minor)
-                values = stored[1]
-                if min(values, default=0) < 0 or any(map(mask.__and__, values)):
-                    return False, (rows, cols, _unpack(stored, layout, r))
-                level[rows, cols] = stored
-        previous = level
+
+    def expand(terms: list[tuple[int, int, _Stored]]) -> _Stored:
+        minor: dict[int, int] = {}
+        for sign, n, below in terms:
+            if packed[n]:
+                _add_product(minor, packed[n], below, sign)
+        return _store(minor)
+
+    for r, rows, cols, stored in _minors(h.m, r_max, expand, _store({0: 1})):
+        values = stored[1]
+        if min(values, default=0) < 0 or any(map(mask.__and__, values)):
+            return False, (rows, cols, _unpack(stored, layout, r))
     return True, None
 
 

@@ -28,9 +28,10 @@ its monomial, a product is a sum of keys, and the sum is checked once for
 an exponent overflow before it becomes a Polynomial.  The counts read one
 histogram of closer/opener adjacencies per n.  The brute sums over
 enumerate_super / enumerate_augmented are their references in the tests.
-master_poly_T / master_poly_S still sum super_weight over the enumeration.
-The fractions these counts are checked against are stated in ``contfrac``;
-this module imports nothing of the package but ``poly``.
+master_poly_T still sums super_weight over the enumeration; master_poly_S
+is master_poly_T at f = g = 0.  The fractions these counts are checked
+against are stated in ``contfrac``; this module imports nothing of the
+package but ``poly``.
 """
 
 from __future__ import annotations
@@ -198,6 +199,8 @@ def parse_matching(text: str) -> SuperMatching:
 def enumerate_matchings(n: int) -> Iterator[PerfectMatching]:
     """All (2n-1)!! matchings of [2n]: repeatedly pair the smallest
     unmatched vertex with each larger unmatched vertex, in increasing order."""
+    if n < 0:
+        raise ValueError(f"size must be at least 0, got {n}")
     size = 2 * n
     partner = [0] * (size + 1)
 
@@ -402,12 +405,9 @@ def master_poly_S(
     a: Callable[[int], Polynomial],
     b: Callable[[int, int], Polynomial],
 ) -> Polynomial:
-    """Undecorated specialization: wiggly and dashed weights vanish."""
-    zero2 = lambda l, lp: Polynomial.zero()
-    weights = IndexedWeights(a=a, b=b, f=zero2, g=zero2)
-    return Polynomial.sum(
-        super_weight(SuperMatching(pm), weights) for pm in enumerate_matchings(n)
-    )
+    """Undecorated specialization: master_poly_T at f = g = 0."""
+    zero = lambda l, lp: Polynomial.zero()
+    return master_poly_T(n, IndexedWeights(a, b, zero, zero))
 
 
 # -- specialized statistics polynomials -------------------------------------------------

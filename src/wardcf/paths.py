@@ -186,6 +186,8 @@ def _walk(table, length: int) -> Iterator[tuple[Optional[str], ...]]:
     """Paths of the given length from height 0 back to 0 that never dip
     below 0, depth-first in table order.  A step of width w fills w
     abscissae: its kind, then w-1 Nones."""
+    if length < 0:
+        raise ValueError(f"length must be at least 0, got {length}")
     moves = [((kind,) + (None,) * (width - 1), dh, width) for kind, dh, width in table]
 
     def rec(prefix, h, remaining):

@@ -215,6 +215,8 @@ def enumerate_phylo(n: int, k: int) -> Iterator[PhyloTree]:
     such choice the blocks' trees follow in product order, the last block
     varying fastest.  Each block's trees come in this same order.
     """
+    if n < 0:
+        raise ValueError(f"size must be at least 0, got {n}")
     for root in _trees_on(tuple(range(1, n + 2)), k):
         yield PhyloTree._canonical(root)
 
@@ -240,14 +242,23 @@ def multivariate_ward(n: int) -> Polynomial:
 class ArchSystem(NamedTuple):
     """Arches and horizontal lines on [2n+1] forming a tree rooted at 1.
 
-    arches are (opener, closer, wiggly) with opener < closer; horizontals
-    join (i, i+1); labels number the non-opener vertices left to right.
+    arches are (opener, closer, wiggly) with opener < closer, listed by
+    opener; a horizontal line joins each opener i to i+1.
     """
 
     size: int
     arches: tuple[tuple[int, int, bool], ...]
-    horizontals: tuple[tuple[int, int], ...]
-    labels: tuple[tuple[int, int], ...]  # (vertex, label), increasing vertex
+
+    @property
+    def horizontals(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, i + 1) for i, _, _ in self.arches)
+
+    @property
+    def labels(self) -> tuple[tuple[int, int], ...]:
+        """(vertex, label): the non-openers numbered left to right."""
+        openers = {i for i, _, _ in self.arches}
+        leaves = [v for v in range(1, self.size + 1) if v not in openers]
+        return tuple((v, label) for label, v in enumerate(leaves, 1))
 
 
 class BinNode(NamedTuple):
@@ -268,16 +279,8 @@ def arch_system_of(sm: SuperMatching) -> ArchSystem:
     if sm.dashed:
         raise ValueError("arch systems are defined for wiggly-only decorations")
     pm = sm.base
-    arches = tuple(
-        (i, pm.partner[i] + 1, pm.partner[i] in sm.wiggly)
-        for i in range(1, 2 * pm.n + 1)
-        if pm.is_opener(i)
-    )
-    horizontals = tuple((i, i + 1) for i in range(1, 2 * pm.n + 1) if pm.is_opener(i))
-    openers = {i for i in range(1, 2 * pm.n + 1) if pm.is_opener(i)}
-    non_openers = [v for v in range(1, 2 * pm.n + 2) if v not in openers]
-    labels = tuple((v, idx + 1) for idx, v in enumerate(non_openers))
-    return ArchSystem(2 * pm.n + 1, arches, horizontals, labels)
+    arches = tuple((i, j + 1, j in sm.wiggly) for i, j in pm.pairs())
+    return ArchSystem(2 * pm.n + 1, arches)
 
 
 def binary_tree_of(arch: ArchSystem) -> BinTree:
@@ -359,19 +362,18 @@ def binary_to_arch_system(bt: BinTree) -> ArchSystem:
 
     lay(bt)
     leaves = sorted(chains)
+    if leaves != list(range(1, len(leaves) + 1)):
+        raise ValueError("leaf labels must be 1..n+1")
     top, size = {}, 0
     for leaf in leaves:
         top[leaf] = size + 1
         size += len(chains[leaf]) + 1
-    arches, horizontals, labels = [], [], []
-    for leaf in leaves:
-        pos = top[leaf]
-        for wiggly, right in chains[leaf]:
-            arches.append((pos, top[right], wiggly))
-            horizontals.append((pos, pos + 1))
-            pos += 1
-        labels.append((pos, leaf))
-    return ArchSystem(size, tuple(arches), tuple(horizontals), tuple(labels))
+    arches = tuple(
+        (pos, top[right], wiggly)
+        for leaf in leaves
+        for pos, (wiggly, right) in enumerate(chains[leaf], top[leaf])
+    )
+    return ArchSystem(size, arches)
 
 
 def arch_system_to_matching(arch: ArchSystem) -> SuperMatching:

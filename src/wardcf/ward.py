@@ -189,6 +189,8 @@ def closed_form_u_eq_x(m: int) -> Polynomial:
     x_m = (-1)^(m+1) m! (1 + x/w) z^m + (x/w) prod_{j=1..m} (w - jz);
     the 1/w terms cancel, which is verified here by exact division.
     """
+    if m < 1:
+        raise ValueError(f"index must be at least 1, got {m}")
     x, z, w = var("x"), var("z"), var("w")
     sign = 1 if (m + 1) % 2 == 0 else -1
     lead = sign * factorial(m) * z**m

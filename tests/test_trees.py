@@ -146,7 +146,6 @@ def test_phylo_counts_match_ward_triangle():
                 assert t.n == n and t.internal_count() == k
                 assert all(s >= 2 for s in t.child_sizes())
                 assert PhyloTree(t.root) == t  # canonical and valid as built
-    assert list(enumerate_phylo(-1, 0)) == []
 
 
 def test_phylo_generating_polynomial_equals_ward_poly():
@@ -301,6 +300,12 @@ def test_arch_system_stage_round_trip():
         for sm in enumerate_augmented(n):
             arch = arch_system_of(sm)
             assert binary_to_arch_system(binary_tree_of(arch)) == arch
+
+
+def test_binary_tree_leaves_other_than_1_to_n_plus_1_rejected():
+    # An arch system numbers its leaves 1..n+1 from left to right.
+    with pytest.raises(ValueError, match="leaf labels"):
+        binary_to_arch_system(BinNode(1, 3))
 
 
 def test_dashed_decorations_rejected():

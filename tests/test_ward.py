@@ -4,8 +4,15 @@ import pytest
 
 from wardcf.contfrac import expand_T, named_family
 from wardcf.eulerian import enumerate_stirling_perms, eulerian2_triangle
+from wardcf.matchings import enumerate_matchings
+from wardcf.paths import (
+    enumerate_dyck,
+    enumerate_labeled_schroeder2,
+    enumerate_motzkin,
+    enumerate_schroeder2,
+)
 from wardcf.poly import Fraction, Polynomial, VarId, parse_poly, var
-from wardcf.trees import count_assoc_stirling, multivariate_ward
+from wardcf.trees import count_assoc_stirling, enumerate_phylo, multivariate_ward
 from wardcf.ward import (
     _egf,
     _explicit_inverse_series,
@@ -226,6 +233,15 @@ def test_explicit_inverse_series_is_the_closed_form_egf():
     pytest.param(lambda: multivariate_ward_via_inversion(-1),
                  id="multivariate_ward_via_inversion(-1)"),
     pytest.param(lambda: check_closed_form_u_eq_x(0), id="check_closed_form_u_eq_x(0)"),
+    pytest.param(lambda: list(enumerate_phylo(-1, 0)), id="enumerate_phylo(-1, 0)"),
+    pytest.param(lambda: list(enumerate_motzkin(-1)), id="enumerate_motzkin(-1)"),
+    pytest.param(lambda: list(enumerate_dyck(-2)), id="enumerate_dyck(-2)"),
+    pytest.param(lambda: list(enumerate_schroeder2(-2)), id="enumerate_schroeder2(-2)"),
+    pytest.param(lambda: list(enumerate_labeled_schroeder2(-2)),
+                 id="enumerate_labeled_schroeder2(-2)"),
+    pytest.param(lambda: list(enumerate_matchings(-1)), id="enumerate_matchings(-1)"),
+    pytest.param(lambda: closed_form_u_eq_x(0), id="closed_form_u_eq_x(0)"),
+    pytest.param(lambda: closed_form_u_eq_x(-1), id="closed_form_u_eq_x(-1)"),
 ])
 def test_size_below_range_is_an_error(call):
     # A size below the least one must not read as an empty or one-entry
