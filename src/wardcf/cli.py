@@ -115,14 +115,26 @@ def _cmd_triangle(args) -> int:
 # -- expand ---------------------------------------------------------------------
 
 
+# Characters of coefficient text written at once (the text is ASCII).
+_WRITE_SLICE = 1 << 16
+
+
 def _cmd_expand(args) -> int:
     _require_at_least("--order", args.order, 0)
     seq = contfrac.named_family(args.family)
     series = contfrac.expand_T(seq, args.order)
     bindings = _parse_bindings(args.set or [])
     coeffs = _substitute_all(list(series.coeffs), bindings, f"the expansion to order {args.order}")
-    # One coefficient at a time: the whole line can be megabytes of text.
-    print(*coeffs, sep=", ")
+    # One coefficient at a time, and each text in slices: the whole line
+    # can be megabytes, and one coefficient alone more than a hundred KB.
+    write = sys.stdout.write
+    for n, c in enumerate(coeffs):
+        if n:
+            write(", ")
+        text = str(c)
+        for start in range(0, len(text), _WRITE_SLICE):
+            write(text[start : start + _WRITE_SLICE])
+    write("\n")
     return 0
 
 

@@ -12,7 +12,9 @@ by one bottom-up ladder of series reciprocals, order levels deep (T: level
 delta_{k+1}, fall alpha on t; J: level gamma_k, fall beta on t^2; S: a T
 case): every level contributes at least one power of t, so the level
 f_order enters f_0 only through its constant term 1, at t^order, and the
-ladder determines the series exactly modulo t^(order+1).
+ladder determines the series exactly modulo t^(order+1).  The ladder holds
+one level at a time: the level below is dropped once the body is built from
+it, before the body's reciprocal is taken.
 
 The stated fractions are the named families behind ``expand``, Theorem 1.2's
 five-variable one and Corollary 2.3's 18- and 12-variable ones; the counts
@@ -56,24 +58,28 @@ def _ladder(level: CoeffFn, fall: CoeffFn, power: int, order: int) -> Series:
     order-1 down to 0, starting from f_order = 1; the result is f_0.  f_k
     only influences coefficients of t^k and above, so it is computed at the
     reduced order order - k.
+
+    The ladder holds one level at a time: each weight is negated once and
+    dropped after its level, the body is built one coefficient at a time as
+    (-fall) f_{j-power} (plus -level at t^1), and f_{k+1} is gone before
+    the level's one reciprocal, whose result is far larger than it.
     """
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
     # Shallow levels first: their variables occur in every term, and a
     # variable's slot in a polynomial key follows its first use, so this
     # keeps the keys short.
-    weights = [(level(k), fall(k + 1)) for k in range(order)]
+    weights = [(-level(k), -fall(k + 1)) for k in range(order)]
     f = Series.one(0)
-    for k in range(order - 1, -1, -1):
-        target = order - k
+    for target in range(1, order + 1):
+        neg_level, neg_fall = weights.pop()
         # f has order target - 1, so t^power * f covers 0..target.
-        tail = Series(target, ((Polynomial.zero(),) * power + f.coeffs)[: target + 1])
-        body = (
-            Series.one(target)
-            - Series.t(target).scale(weights[k][0])
-            - tail.scale(weights[k][1])
-        )
-        f = body.reciprocal()
+        body = [Polynomial.one()] + [Polynomial.zero()] * target
+        for i in range(target + 1 - power):
+            body[i + power] = neg_fall * f.coeffs[i]
+        body[1] = body[1] + neg_level
+        f = None  # only the body is alive through the reciprocal
+        f = Series(target, body).reciprocal()
     return f
 
 

@@ -28,10 +28,10 @@ its monomial, a product is a sum of keys, and the sum is checked once for
 an exponent overflow before it becomes a Polynomial.  The counts read one
 histogram of closer/opener adjacencies per n.  The brute sums over
 enumerate_super / enumerate_augmented are their references in the tests.
-master_poly_T still sums super_weight over the enumeration; master_poly_S
-is master_poly_T at f = g = 0.  The fractions these counts are checked
-against are stated in ``contfrac``; this module imports nothing of the
-package but ``poly``.
+master_poly_T still sums super_weight over the enumeration; master_poly_S,
+its value at f = g = 0, sums it over the undecorated matchings alone.  The
+fractions these counts are checked against are stated in ``contfrac``; this
+module imports nothing of the package but ``poly``.
 """
 
 from __future__ import annotations
@@ -405,9 +405,14 @@ def master_poly_S(
     a: Callable[[int], Polynomial],
     b: Callable[[int, int], Polynomial],
 ) -> Polynomial:
-    """Undecorated specialization: master_poly_T at f = g = 0."""
+    """Undecorated specialization: master_poly_T at f = g = 0.
+
+    Every decorated matching weighs 0 there, so only the undecorated ones
+    are summed.
+    """
     zero = lambda l, lp: Polynomial.zero()
-    return master_poly_T(n, IndexedWeights(a, b, zero, zero))
+    w = IndexedWeights(a, b, zero, zero)
+    return Polynomial.sum(super_weight(SuperMatching(pm), w) for pm in enumerate_matchings(n))
 
 
 # -- specialized statistics polynomials -------------------------------------------------

@@ -314,11 +314,13 @@ def _print_order(keys: list[int]) -> Iterator[tuple[int, str]]:
     """Each key with its monomial's text (empty for the constant), in
     descending graded-lex order of the monomials.
 
-    The exponents of the variables that occur are copied, a block of keys
-    at a time and one slot-wide column at a time, into one row per key:
-    the variables in VarId order, two big-endian bytes each.  Rows then
-    compare in C as lex compares the monomials, and a stable sort by
-    degree makes the order graded.
+    A first pass reads each key's degree, a block of keys at a time.  Then
+    the keys of one degree class at a time, highest first, are laid out as
+    rows and sorted: the exponents of the variables that occur are copied,
+    a block of keys at a time and one slot-wide column at a time, into one
+    row per key, the variables in VarId order, two big-endian bytes each.
+    Rows compare in C as lex compares the monomials.  Only one class's rows
+    are held at a time, and each row is freed as its text is yielded.
     """
     present = reduce(or_, keys, 0)
     if not present:
@@ -329,27 +331,30 @@ def _print_order(keys: list[int]) -> Iterator[tuple[int, str]]:
     slots = [i for i, e in enumerate(_exponents(present, nbytes)) if e]
     slots.sort(key=_SLOTS.variables.__getitem__)
     width = 2 * len(slots)
-    rows: list = []
-    degrees: list[int] = []
+    classes: dict[int, list[int]] = {}
     for start in range(0, len(keys), _PRINT_BLOCK):
-        raw = b"".join([k.to_bytes(nbytes, "little") for k in keys[start : start + _PRINT_BLOCK]])
-        exps = _slot_values(raw)
-        degrees += [sum(exps[i : i + per_key]) for i in range(0, len(exps), per_key)]
-        block = bytearray(len(raw) // nbytes * width)
-        for j, s in enumerate(slots):
-            block[2 * j :: width] = raw[2 * s + 1 :: nbytes]
-            block[2 * j + 1 :: width] = raw[2 * s :: nbytes]
-        block = bytes(block)
-        rows += [block[i : i + width] for i in range(0, len(block), width)]
-    order = sorted(range(len(keys)), key=rows.__getitem__, reverse=True)
-    order.sort(key=degrees.__getitem__, reverse=True)
+        block = keys[start : start + _PRINT_BLOCK]
+        exps = _slot_values(b"".join([k.to_bytes(nbytes, "little") for k in block]))
+        for k, i in zip(block, range(0, len(exps), per_key)):
+            classes.setdefault(sum(exps[i : i + per_key]), []).append(k)
     powers = [_Powers(str(_SLOTS.variables[s])) for s in slots]
-    for i in order:
-        exps = array("H", rows[i])
-        rows[i] = None  # each row is read once; free it as the text grows
-        if not _BIG_ENDIAN:
-            exps.byteswap()
-        yield keys[i], "*".join(map(getitem, compress(powers, exps), compress(exps, exps)))
+    for degree in sorted(classes, reverse=True):
+        same = classes.pop(degree)
+        rows: list = []
+        for start in range(0, len(same), _PRINT_BLOCK):
+            raw = b"".join([k.to_bytes(nbytes, "little") for k in same[start : start + _PRINT_BLOCK]])
+            block = bytearray(len(raw) // nbytes * width)
+            for j, s in enumerate(slots):
+                block[2 * j :: width] = raw[2 * s + 1 :: nbytes]
+                block[2 * j + 1 :: width] = raw[2 * s :: nbytes]
+            block = bytes(block)
+            rows += [block[i : i + width] for i in range(0, len(block), width)]
+        for i in sorted(range(len(same)), key=rows.__getitem__, reverse=True):
+            exps = array("H", rows[i])
+            rows[i] = None  # each row is read once; free it as the text grows
+            if not _BIG_ENDIAN:
+                exps.byteswap()
+            yield same[i], "*".join(map(getitem, compress(powers, exps), compress(exps, exps)))
 
 
 class Polynomial:
@@ -792,7 +797,12 @@ class Series:
         return Series(self.order, [f(c) for c in self.coeffs])
 
     def reciprocal(self) -> "Series":
-        """Inverse modulo t**(order+1); requires constant term 1."""
+        """Inverse modulo t**(order+1); requires constant term 1.
+
+        Each coefficient is summed in one accumulator dict, which then
+        becomes the coefficient itself: its zero keys are deleted and its
+        values negated in place, so no second dict is built.
+        """
         if self.coeffs[0] != Polynomial.one():
             raise ValueError("reciprocal needs constant term 1")
         out = [Polynomial.one()]
@@ -802,9 +812,11 @@ class Series:
                 if self.coeffs[j].terms:
                     _add_product(acc, self.coeffs[j].terms.items(), out[n - j].terms.items())
             _SLOTS.check(acc)
-            out.append(
-                Polynomial._raw({k: -c if type(c) is int else _norm_coeff(-c) for k, c in acc.items() if c})
-            )
+            for k in [k for k, c in acc.items() if not c]:
+                del acc[k]
+            for k, c in acc.items():
+                acc[k] = -c if type(c) is int else _norm_coeff(-c)
+            out.append(Polynomial._raw(acc))
         return Series(self.order, out)
 
     def compose(self, inner: "Series") -> "Series":

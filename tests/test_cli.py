@@ -8,6 +8,7 @@ import pytest
 
 from wardcf import matchings
 from wardcf.cli import build_parser, run
+from wardcf.contfrac import expand_T, named_family
 
 
 def invoke(capsys, *argv):
@@ -52,6 +53,16 @@ def test_expand_ward_symbolic_and_set(capsys):
     code, out = invoke(capsys, "expand", "--family", "ward", "--order", "4", "--set", "x=1")
     assert code == 0
     assert out.strip() == "1, 1, 4, 26, 236"
+
+
+def test_expand_writes_every_coefficient_text(capsys):
+    # 169,541 bytes before the newline, the largest coefficient alone
+    # 154,225: its text is written in several slices and must read whole.
+    code, out = invoke(capsys, "expand", "--family", "master-T", "--order", "5")
+    assert code == 0
+    texts = [str(c) for c in expand_T(named_family("master-T"), 5).coeffs]
+    assert out == ", ".join(texts) + "\n"
+    assert (len(out), max(map(len, texts))) == (169_542, 154_225)
 
 
 def test_expand_set_polynomial_value(capsys):

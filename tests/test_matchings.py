@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from wardcf import matchings
 from wardcf.contfrac import (
     TCoeffs,
     expand_S,
@@ -283,6 +284,22 @@ def test_master_poly_S_matches_sfraction():
     s = expand_S(alpha, 4)
     for n in range(5):
         assert master_poly_S(n, a, b) == s.coefficient(n)
+
+
+def test_master_poly_S_sums_undecorated_matchings_only(monkeypatch):
+    # At f = g = 0 every decorated matching weighs 0, so master_poly_S must
+    # equal master_poly_T there without listing the decorated matchings.
+    a = lambda l: var("a", l)
+    b = lambda l, lp: var("b", l, lp)
+    zero = lambda l, lp: Polynomial.zero()
+    expected = [master_poly_T(n, IndexedWeights(a, b, zero, zero)) for n in range(5)]
+
+    def forbidden(n):
+        raise AssertionError("master_poly_S entered enumerate_super")
+
+    monkeypatch.setattr(matchings, "enumerate_super", forbidden)
+    for n in range(5):
+        assert master_poly_S(n, a, b) == expected[n], n
 
 
 # -- 18- and 12-variable specializations ----------------------------------------------------

@@ -1,7 +1,10 @@
 import ast
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from wardcf.poly import (
     Polynomial,
     Series,
     VarId,
+    _PRINT_BLOCK,
     _accumulate,
     parse_poly,
     var,
@@ -612,6 +616,21 @@ def test_print_order_is_the_monomial_order(monos):
     assert parse_poly(str(p)) == p
 
 
+def test_print_order_across_degree_classes_larger_than_a_block():
+    # The text is sorted one degree class at a time: here the degree-5 class
+    # (all 3,003 monomials in 11 variables) spans more than one block of
+    # _PRINT_BLOCK keys, between classes of degree 7 and 3.
+    names = [VarId("v", i) for i in range(10)] + [VarId("a", 2, 1)]
+    monos = []
+    for degree, step in ((5, 1), (3, 7), (7, 97)):
+        for picked in list(combinations_with_replacement(names, degree))[::step]:
+            monos.append(Monomial(Counter(picked).items()))
+    assert sum(1 for m in monos if sum(e for _, e in m.exps) == 5) == 3003 > _PRINT_BLOCK
+    random.Random(26).shuffle(monos)
+    p = Polynomial({m: 1 for m in monos})
+    assert str(p) == " + ".join(str(m) for m in sorted(monos, reverse=True))
+
+
 MONOMIALS = st.dictionaries(st.sampled_from(VARS), EXPONENTS, max_size=3).map(
     lambda d: Monomial(d.items()))
 COEFFS = st.fractions(max_denominator=6).filter(lambda c: c != 0)
@@ -707,3 +726,15 @@ def test_only_poly_owns_the_key_format():
     }
     assert not found.get("hankel")
     assert found == PRIVATE_POLY_IMPORTS
+
+def test_reciprocal_drops_cancelled_keys_and_stores_integral_fractions_as_int():
+    # [t^2] of 1/s sums -(x/2 + y)^2 and 5/4 x^2 + x*y: the x*y key cancels
+    # to 0, and the x^2 key sums two Fractions to the integer 1.
+    s = Series(3, [1, Fraction(1, 2) * x + y, Fraction(5, 4) * x**2 + x * y, x**3])
+    r = s.reciprocal()
+    assert r.coefficient(2) == -(x**2) + y**2
+    assert s * r == Series.one(3)
+    for c in r.coeffs:
+        assert all(c.terms.values())
+        assert all(type(v) is int for v in c.terms.values() if v == int(v))
+
