@@ -20,9 +20,10 @@ reproducible.
 The counting oracles poly_18var, poly_12var, generalized_ward_oracle,
 count_Mprime and count_augmented never list decorated matchings.  Their
 weights are local: a wiggly or dashed line on (i, i+1) replaces the pure
-weights of its two vertices.  So each oracle takes one left-to-right sweep
-per base matching for the closer statistics and then sums over the
-decorations by a two-state transfer along 1..2n (``_decorated_sum``).  The
+weights of its two vertices.  So the first three walk the base matchings
+once as a tree of left-to-right prefixes, reading each closer's statistics
+from the arches open at it, and sum over the decorations by a two-state
+transfer extended one vertex per prefix (``_decorated_sum``).  The
 transfer runs on ``Polynomial.terms`` keys: a closer factor is the key of
 its monomial, a product is a sum of keys, and the sum is checked once for
 an exponent overflow before it becomes a Polynomial.  The counts read one
@@ -341,9 +342,8 @@ def count_augmented(n: int, l: int) -> int:
     no two of them share a vertex, so a matching with c of them carries
     C(c, l) decorations with l wiggly lines.
     """
-    if l < 0:
-        return 0
-    return sum(h * comb(c, l) for c, h in _clop_histogram(n))
+    histogram = _clop_histogram(n)  # a size below 0 raises whatever l is
+    return sum(h * comb(c, l) for c, h in histogram) if l >= 0 else 0
 
 
 # -- weight families and master polynomials --------------------------------------------
@@ -418,26 +418,18 @@ def master_poly_S(
 # -- specialized statistics polynomials -------------------------------------------------
 
 
-def _closer_stats(partner: tuple[int, ...]) -> list:
-    """(cr(k), ne(k)) at every closer k and None at every opener, from one
-    left-to-right sweep over a partner array.
-
-    The sweep keeps the open openers in increasing order.  At closer k with
-    opener j, the open openers after j are the arches crossing (j, k) and
-    those before j the arches nesting over it; k is an antirecord iff
-    ne(k) = 0.
-    """
-    opened: list[int] = []
-    stats: list = [None] * len(partner)
-    for k in range(1, len(partner)):
-        j = partner[k]
-        if j > k:
-            opened.append(k)
-        else:
-            before = opened.index(j)
-            del opened[before]
-            stats[k] = (len(opened) - before, before)
-    return stats
+def _transfer(before: dict[int, int], here: dict[int, int], pure: int, line) -> dict[int, int]:
+    """The decoration sums over vertices 1..i, from ``before`` and ``here``,
+    those over 1..i-2 and 1..i-1.  Vertex i is free (here times its pure
+    factor) or covered by the line on (i-1, i) (before times ``line``, that
+    line's factor, or None where no such line may be drawn), so no vertex
+    carries two lines."""
+    after = {key + pure: c for key, c in here.items()}
+    if line is not None:
+        for key, c in before.items():
+            key += line
+            after[key] = after.get(key, 0) + c
+    return after
 
 
 def _decorated_sum(
@@ -448,40 +440,46 @@ def _decorated_sum(
     and checked once for an exponent overflow.
 
     factors(k, j, cr, ne) gives the keys of the (pure, wiggly,
-    dashed) factor of closer k with opener j.  A closer weighs its wiggly
-    factor when it carries the wiggly line on (k, k+1), its dashed factor
-    when it carries the dashed line on (k-1, k), and its pure factor
-    otherwise; openers weigh 1.
+    dashed) factor of closer k with opener j, or None for a line the sum
+    leaves out.  A closer weighs its wiggly factor when it carries the
+    wiggly line on (k, k+1), its dashed factor when it carries the dashed
+    line on (k-1, k), and its pure factor otherwise; openers weigh 1.
 
-    One sweep per base matching gives the closer statistics; then a
-    two-state transfer along positions 1..2n sums over the decorations.
-    With ``here`` the sum over the decorations of vertices 1..i-1 and
-    ``before`` the one over 1..i-2, vertex i is either free (here times its
-    pure factor) or covered by the line on (i-1, i) (before times the
-    line's factor), so no vertex carries two lines.
+    One depth-first walk over left-to-right prefixes: vertex i opens an
+    arch or closes one of the open ones, kept as their openers in
+    increasing order, so a closer's cr and ne are the open arches opened
+    after and before its opener.  Each step extends the parent prefix's
+    ``_transfer`` state by vertex i, so matchings that share a prefix share
+    its work, and each leaf is one matching.  Prefixes are never merged:
+    merging those with equally many open arches would be the Schröder-path
+    count that the fractions restate.
     """
+    if n < 0:
+        raise ValueError(f"size must be at least 0, got {n}")
+    size = 2 * n
     total: dict[int, int] = {}
-    for pm in enumerate_matchings(n):
-        partner = pm.partner
-        stats = _closer_stats(partner)
-        before: dict[int, int] = {}
-        here = {0: 1}
-        wiggly = None  # wiggly factor of vertex i-1 when it is a closer
-        for i in range(1, len(partner)):
-            j = partner[i]
-            if j > i:  # an opener, covered only by a wiggly line from i-1
-                pure, line, wiggly = 0, wiggly, None
-            else:
-                pure, wiggly, dashed = factors(i, j, *stats[i])
-                line = dashed if partner[i - 1] > i - 1 else None
-            after = {key + pure: c for key, c in here.items()}
-            if line is not None:
-                for key, c in before.items():
-                    key += line
-                    after[key] = after.get(key, 0) + c
-            before, here = here, after
-        for key, c in here.items():
-            total[key] = total.get(key, 0) + c
+    opened: list[int] = []
+
+    def _prefix_walk(i: int, before: dict, here: dict, wiggly) -> None:
+        # before, here: the sums over 1..i-2 and 1..i-1; wiggly: the wiggly
+        # factor of vertex i-1 when it is a closer.
+        if i > size:
+            for key, c in here.items():
+                total[key] = total.get(key, 0) + c
+            return
+        follows_opener = opened and opened[-1] == i - 1
+        if len(opened) < size - i:
+            opened.append(i)
+            _prefix_walk(i + 1, here, _transfer(before, here, 0, wiggly), None)
+            opened.pop()
+        for nestings in range(len(opened)):
+            j = opened.pop(nestings)
+            pure, next_wiggly, dashed = factors(i, j, len(opened) - nestings, nestings)
+            after = _transfer(before, here, pure, dashed if follows_opener else None)
+            _prefix_walk(i + 1, here, after, next_wiggly)
+            opened.insert(nestings, j)
+
+    _prefix_walk(1, {}, {0: 1}, None)
     _SLOTS.check(total)
     return Polynomial._raw(total)
 
@@ -513,8 +511,8 @@ def poly_18var(n: int) -> Polynomial:
 
     Closers are classified three ways (pure / wiggly / dashed), and within
     each class by parity and by antirecord status; crossings and nestings
-    are split by the class of the closer in third position.  Computed from
-    partner arrays by ``_decorated_sum``; the brute sum over
+    are split by the class of the closer in third position.  Computed by
+    the prefix walk of ``_decorated_sum``; the brute sum over
     ``enumerate_super`` is the reference in the tests.
     """
     return _record_poly(n, _CLASSES_18)
@@ -522,7 +520,7 @@ def poly_18var(n: int) -> Polynomial:
 
 def poly_12var(n: int) -> Polynomial:
     """poly_18var with the even/odd distinction forgotten (y, v -> x, u in
-    every class), from its own sweep."""
+    every class), from its own walk."""
     return _record_poly(n, _CLASSES_12)
 
 
@@ -531,7 +529,7 @@ def generalized_ward_oracle(n: int) -> Polynomial:
 
     Pure closers weigh x (crossing number 0) or u (>= 1); dashed lines
     weigh z when their endpoints share an arch and w'' otherwise; wiggly
-    lines weigh w'.  Computed from partner arrays by ``_decorated_sum``;
+    lines weigh w'.  Computed by the prefix walk of ``_decorated_sum``;
     the brute sum over ``enumerate_super`` is the reference in the tests.
     """
     x, u, z, wp, wpp = (_SLOTS.unit(VarId(name)) for name in ("x", "u", "z", "w'", "w''"))

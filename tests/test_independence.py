@@ -40,11 +40,11 @@ def compose_witness(n):
 #  enter, a function it must enter)
 GUARDS = [
     ("poly_18var", lambda: matchings.poly_18var(3), besides("matchings"),
-     {"enumerate_super", "super_weight"}, "enumerate_matchings"),
+     {"enumerate_super", "super_weight"}, "_prefix_walk"),
     ("poly_12var", lambda: matchings.poly_12var(3), besides("matchings"),
-     {"enumerate_super", "poly_18var", "substitute"}, "enumerate_matchings"),
+     {"enumerate_super", "poly_18var", "substitute"}, "_prefix_walk"),
     ("generalized_ward_oracle", lambda: matchings.generalized_ward_oracle(3),
-     besides("matchings"), {"enumerate_super"}, "enumerate_matchings"),
+     besides("matchings"), {"enumerate_super"}, "_prefix_walk"),
     ("count_Mprime", lambda: matchings.count_Mprime(3, 1), besides("matchings"),
      {"enumerate_super", "enumerate_augmented"}, "enumerate_matchings"),
     ("count_augmented", lambda: matchings.count_augmented(3, 1), besides("matchings"),

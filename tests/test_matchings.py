@@ -17,7 +17,6 @@ from wardcf.contfrac import (
 )
 from wardcf.matchings import (
     IndexedWeights,
-    _closer_stats,
     PerfectMatching,
     SuperMatching,
     clop_count,
@@ -43,7 +42,7 @@ from wardcf.matchings import (
     star,
     super_weight,
 )
-from wardcf.poly import Monomial, Polynomial, VarId, var
+from wardcf.poly import _SLOTS, Monomial, Polynomial, VarId, var
 
 
 def pm(*pairs):
@@ -407,7 +406,7 @@ def test_generalized_ward_specializes_to_ward_polys():
         assert generalized_ward_oracle(n).substitute(sub) == ward_poly(n)
 
 
-# -- brute references for the sweep-and-transfer oracles ------------------------------------
+# -- brute and per-matching references for the prefix-walk oracles --------------------
 
 
 def brute_poly_18var(n):
@@ -484,6 +483,58 @@ def brute_generalized_ward(n):
     return Polynomial(total)
 
 
+def closer_stats(partner):
+    """(cr(k), ne(k)) at every closer k and None at every opener, from one
+    left-to-right sweep over a partner array.
+
+    The sweep keeps the open openers in increasing order.  At closer k with
+    opener j, the open openers after j are the arches crossing (j, k) and
+    those before j the arches nesting over it; k is an antirecord iff
+    ne(k) = 0.
+    """
+    opened = []
+    stats = [None] * len(partner)
+    for k in range(1, len(partner)):
+        j = partner[k]
+        if j > k:
+            opened.append(k)
+        else:
+            before = opened.index(j)
+            del opened[before]
+            stats[k] = (len(opened) - before, before)
+    return stats
+
+
+def sweep_decorated_sum(n, factors):
+    """Reference for ``matchings._decorated_sum``: one sweep per base
+    matching for the closer statistics, then a two-state transfer along
+    1..2n restarted for every matching."""
+    total = {}
+    for pm in enumerate_matchings(n):
+        partner = pm.partner
+        stats = closer_stats(partner)
+        before = {}
+        here = {0: 1}
+        wiggly = None  # wiggly factor of vertex i-1 when it is a closer
+        for i in range(1, len(partner)):
+            j = partner[i]
+            if j > i:  # an opener, covered only by a wiggly line from i-1
+                pure, line, wiggly = 0, wiggly, None
+            else:
+                pure, wiggly, dashed = factors(i, j, *stats[i])
+                line = dashed if partner[i - 1] > i - 1 else None
+            after = {key + pure: c for key, c in here.items()}
+            if line is not None:
+                for key, c in before.items():
+                    key += line
+                    after[key] = after.get(key, 0) + c
+            before, here = here, after
+        for key, c in here.items():
+            total[key] = total.get(key, 0) + c
+    _SLOTS.check(total)
+    return Polynomial._raw(total)
+
+
 def brute_count_Mprime(n, l):
     return sum(1 for m in enumerate_matchings(n) if clop_count(m) == l)
 
@@ -502,10 +553,46 @@ def test_oracles_match_brute_references(n):
         assert count_augmented(n, l) == brute_count_augmented(n, l)
 
 
+@pytest.mark.parametrize("oracle", [poly_18var, poly_12var, generalized_ward_oracle],
+                         ids=lambda f: f.__name__)
+def test_prefix_walk_matches_per_matching_sweep(monkeypatch, oracle):
+    walked = [oracle(n) for n in range(7)]
+    monkeypatch.setattr(matchings, "_decorated_sum", sweep_decorated_sum)
+    assert walked == [oracle(n) for n in range(7)]
+
+
+def test_each_leaf_of_the_prefix_walk_is_one_matching():
+    # A closer's factor names its opener, cr and ne, so every matching has
+    # its own monomial with coefficient 1; a walk that merged prefixes
+    # would add up matchings that differ.
+    def factors(k, j, crossings, nestings):
+        key = (_SLOTS.unit(VarId("m", j, k)) + _SLOTS.unit(VarId("c", k, crossings))
+               + _SLOTS.unit(VarId("e", k, nestings)))
+        return key, None, None
+
+    for n in range(5):
+        expected = Polynomial.sum(
+            Polynomial({Monomial(
+                [(VarId("m", j, k), 1) for j, k in m.pairs()]
+                + [(VarId("c", k, cr(k, m)), 1) for k in m.closers()]
+                + [(VarId("e", k, ne(k, m)), 1) for k in m.closers()]
+            ): 1})
+            for m in enumerate_matchings(n)
+        )
+        assert matchings._decorated_sum(n, factors) == expected
+        assert set(expected.terms.values()) == {1}
+    for n in range(6):
+        count = sum(1 for _ in enumerate_super(n))
+        assert matchings._decorated_sum(n, lambda *_: (0, 0, 0)) == Polynomial.const(count)
+    for n in range(7):
+        plain = matchings._decorated_sum(n, lambda *_: (0, None, None))
+        assert plain == Polynomial.const(double_factorial(2 * n - 1))
+
+
 def test_sweep_matches_vertex_statistics():
     for n in range(6):
         for m in enumerate_matchings(n):
-            stats = _closer_stats(m.partner)
+            stats = closer_stats(m.partner)
             assert stats[0] is None
             for k in range(1, 2 * n + 1):
                 if m.is_opener(k):

@@ -4,7 +4,14 @@ import pytest
 
 from wardcf.contfrac import expand_T, named_family
 from wardcf.eulerian import enumerate_stirling_perms, eulerian2_triangle
-from wardcf.matchings import enumerate_matchings
+from wardcf.matchings import (
+    count_augmented,
+    count_Mprime,
+    enumerate_matchings,
+    generalized_ward_oracle,
+    poly_12var,
+    poly_18var,
+)
 from wardcf.paths import (
     enumerate_dyck,
     enumerate_labeled_schroeder2,
@@ -240,6 +247,11 @@ def test_explicit_inverse_series_is_the_closed_form_egf():
     pytest.param(lambda: list(enumerate_labeled_schroeder2(-2)),
                  id="enumerate_labeled_schroeder2(-2)"),
     pytest.param(lambda: list(enumerate_matchings(-1)), id="enumerate_matchings(-1)"),
+    pytest.param(lambda: poly_18var(-1), id="poly_18var(-1)"),
+    pytest.param(lambda: poly_12var(-1), id="poly_12var(-1)"),
+    pytest.param(lambda: generalized_ward_oracle(-1), id="generalized_ward_oracle(-1)"),
+    pytest.param(lambda: count_Mprime(-1, 0), id="count_Mprime(-1, 0)"),
+    pytest.param(lambda: count_augmented(-1, -1), id="count_augmented(-1, -1)"),
     pytest.param(lambda: closed_form_u_eq_x(0), id="closed_form_u_eq_x(0)"),
     pytest.param(lambda: closed_form_u_eq_x(-1), id="closed_form_u_eq_x(-1)"),
 ])
