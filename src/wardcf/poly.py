@@ -23,6 +23,14 @@ module is the only one that defines a key format: the decorated-matching
 transfer in ``matchings`` adds the registry's variable keys and checks its
 guard bits, and the Hankel scan re-encodes the Monomials it reads.
 
+Products multiply and add ints only.  ``Polynomial`` and ``Series``
+products and ``Series.reciprocal`` clear each operand's denominators with
+one lcm, multiply and accumulate the integer numerators in
+``_add_product``, and divide each output term once by the product of the
+two lcms: one gcd, and an int when the division is exact.  For integer
+coefficients the lcm is 1, and nothing is scaled or copied.  ``compose``,
+``compositional_inverse`` and ``substitute`` run on the same products.
+
 Series are truncated at an explicit order; operations on mismatched orders
 raise rather than silently truncating.  The variable ``t`` is reserved for
 the series direction and is rejected inside series coefficients.
@@ -36,6 +44,7 @@ from array import array
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
+from math import lcm
 from operator import getitem, or_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
 
@@ -76,13 +85,58 @@ def _accumulate(target: dict, terms: Mapping) -> None:
         target[m] = get(m, 0) + c
 
 
-def _add_product(
-    acc: dict, a: Collection[tuple[int, Rat]], b: Collection[tuple[int, Rat]]
-) -> None:
-    """Add the product of two collections of (key, coefficient) pairs into
-    the accumulator acc, the shorter one in the outer loop.
+def _denominator(terms: Mapping[int, Rat]) -> int:
+    """The lcm of the denominators of the coefficients: 1 when all are ints."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    return d
 
-    Every key the product makes stays in acc, zeros included, so that one
+
+def _series_denominator(s: "Series") -> int:
+    """The lcm of the denominators of every coefficient of s."""
+    return lcm(*[_denominator(c.terms) for c in s.coeffs])
+
+
+def _numerators(terms: Mapping[int, Rat], scale: int) -> Collection[tuple[int, int]]:
+    """The (key, coefficient * scale) pairs of terms, where scale is a
+    multiple of ``_denominator(terms)``: all ints.  When scale is 1 they
+    are the dict's own items, not a copy."""
+    if scale == 1:
+        return terms.items()
+    return [
+        (k, c * scale if type(c) is int else c.numerator * (scale // c.denominator))
+        for k, c in terms.items()
+    ]
+
+
+def _ratio(num: int, den: int) -> Rat:
+    """num / den: an int when the division is exact, else a Fraction
+    reduced by one gcd."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _over(terms: dict, den: int) -> dict:
+    """The nonzero sums of integer products in an accumulator, each
+    divided once by den (see ``_add_product``)."""
+    if den == 1:
+        return {k: c for k, c in terms.items() if c}
+    return {k: _ratio(c, den) for k, c in terms.items() if c}
+
+
+def _add_product(
+    acc: dict, a: Collection[tuple[int, int]], b: Collection[tuple[int, int]]
+) -> None:
+    """Add the product of two collections of (key, int) pairs into the
+    accumulator acc, the shorter one in the outer loop.
+
+    The coefficients are ints only: rational operands come in as
+    ``_numerators`` over a common denominator, and the caller divides each
+    accumulated sum by the product of the two denominators once
+    (``_over``), so no Fraction is multiplied or added here.  Every key
+    the product makes stays in acc, zeros included, so that one
     ``_SLOTS.check(acc)`` before the final sweep sees all of them.
     """
     if len(a) > len(b):
@@ -368,6 +422,11 @@ class Polynomial:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Rat] | None = None):
+        if terms is not None and not isinstance(terms, Mapping):
+            raise TypeError(
+                f"terms must be a mapping of Monomial to coefficient, not {type(terms).__name__}"
+                " (Polynomial.const makes a constant)"
+            )
         out: dict[int, Rat] = {}
         if terms:
             for m, c in terms.items():
@@ -445,15 +504,17 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[int, Rat] = {}
+        da, db = _denominator(a), _denominator(b)
+        left, right = _numerators(a, da), _numerators(b, db)
+        out: dict[int, int] = {}
         if len(a) == 1:  # one term shifts every key of b alike: no collisions
-            ((k1, c1),) = a.items()
-            for k2, c2 in b.items():
+            ((k1, c1),) = left
+            for k2, c2 in right:
                 out[k1 + k2] = c1 * c2
         else:
-            _add_product(out, a.items(), b.items())
+            _add_product(out, left, right)
         _SLOTS.check(out)
-        return Polynomial._raw(_clean(out))
+        return Polynomial._raw(_over(out, da * db))
 
     __rmul__ = __mul__
 
@@ -774,16 +835,17 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         self._check_order(other)
         n = self.order
+        ds, dr = _series_denominator(self), _series_denominator(other)
         acc: list[dict] = [{} for _ in range(n + 1)]
         for i, a in enumerate(self.coeffs):
             if a.terms:
-                left = a.terms.items()
+                left = _numerators(a.terms, ds)
                 for d, b in zip(acc[i:], other.coeffs):
                     if b.terms:
-                        _add_product(d, left, b.terms.items())
+                        _add_product(d, left, _numerators(b.terms, dr))
         for d in acc:
             _SLOTS.check(d)
-        return Series(n, [Polynomial._raw(_clean(d)) for d in acc])
+        return Series(n, [Polynomial._raw(_over(d, ds * dr)) for d in acc])
 
     def scale(self, p: Polynomial | Rat) -> "Series":
         p = Polynomial._coerce_or_raise(p)
@@ -799,23 +861,35 @@ class Series:
     def reciprocal(self) -> "Series":
         """Inverse modulo t**(order+1); requires constant term 1.
 
-        Each coefficient is summed in one accumulator dict, which then
-        becomes the coefficient itself: its zero keys are deleted and its
-        values negated in place, so no second dict is built.
+        Coefficient n is summed over the common denominator d * e, where d
+        clears the denominators of self and e those of coefficients 0..n-1
+        of the result.  Its accumulator dict then becomes the coefficient
+        itself: its zero keys are deleted and its values negated and
+        divided in place, so no second dict is built.
         """
         if self.coeffs[0] != Polynomial.one():
             raise ValueError("reciprocal needs constant term 1")
+        d = _series_denominator(self)
+        e = 1
         out = [Polynomial.one()]
         for n in range(1, self.order + 1):
             acc: dict = {}
             for j in range(1, n + 1):
                 if self.coeffs[j].terms:
-                    _add_product(acc, self.coeffs[j].terms.items(), out[n - j].terms.items())
+                    _add_product(
+                        acc, _numerators(self.coeffs[j].terms, d), _numerators(out[n - j].terms, e)
+                    )
             _SLOTS.check(acc)
             for k in [k for k, c in acc.items() if not c]:
                 del acc[k]
-            for k, c in acc.items():
-                acc[k] = -c if type(c) is int else _norm_coeff(-c)
+            den = d * e
+            if den == 1:
+                for k, c in acc.items():
+                    acc[k] = -c
+            else:
+                for k, c in acc.items():
+                    acc[k] = _ratio(-c, den)
+                e = lcm(e, _denominator(acc))
             out.append(Polynomial._raw(acc))
         return Series(self.order, out)
 

@@ -348,10 +348,13 @@ DATA = Path(__file__).resolve().parent / "data"
     (("expand", "--family", "generalized-ward", "--order", "8", "--set", "w=2/3"),
      "expand_generalized-ward_order8_w2-3.txt"),
     (("invert", "--order", "5"), "invert_order5.txt"),
+    (("invert", "--order", "6", "--set", "z=3/7"), "invert_order6_z3-7.txt"),
 ])
 def test_output_matches_golden_file(capsys, argv, golden):
-    # The files hold the output of the Monomial-keyed kernel: the canonical
-    # text must not drift with the packing or the print order.
+    # The files hold the output of the Monomial-keyed kernel, and the z=3/7
+    # file that of the kernel that multiplied Fraction coefficients: the
+    # canonical text must not drift with the packing, the print order or
+    # the common-denominator products.
     code, out = invoke(capsys, *argv)
     assert code == 0
     assert out.encode() == (DATA / golden).read_bytes()

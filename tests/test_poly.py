@@ -111,6 +111,16 @@ def test_substitute_is_homomorphism(p, q):
     assert (p + q).substitute(bindings) == p.substitute(bindings) + q.substitute(bindings)
 
 
+@pytest.mark.parametrize("terms", [3, 0, [1, 2], "x", Fraction(1, 2), x])
+def test_terms_must_be_a_mapping(terms):
+    with pytest.raises(TypeError, match=f"terms must be a mapping .* not {type(terms).__name__}"):
+        Polynomial(terms)
+
+
+def test_no_terms_is_zero():
+    assert Polynomial() == Polynomial(None) == Polynomial({}) == Polynomial.zero() == 0
+
+
 @pytest.mark.parametrize("value", [0.5, 2.5, 1.0, 0.0, "2", None])
 def test_terms_take_only_exact_values(value):
     kind = type(value).__name__
@@ -386,7 +396,18 @@ def assert_integral_coefficients_are_ints(s):
 
 # Two variables and exponents up to 2, so that products collide and cancel.
 XY = [VarId("x"), VarId("y")]
-COEFF_KINDS = [st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)]
+# The last kind mixes ints and Fractions over pairwise coprime denominators
+# up to 31, so a series' lcm exceeds each single denominator, and small
+# numerators make some sums reduce back to ints.
+COPRIME_DENOMINATORS = [2, 3, 5, 7, 11, 13, 29, 31]
+COEFF_KINDS = [
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.one_of(
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-4, 4), st.sampled_from(COPRIME_DENOMINATORS)),
+    ),
+]
 
 
 @st.composite
@@ -430,6 +451,84 @@ def test_fused_compose_and_inverse_equal_the_unfused_ones(pair):
     inverse = invertible.compositional_inverse()
     assert inverse == unfused_inverse(invertible)
     assert_integral_coefficients_are_ints(inverse)
+
+
+@st.composite
+def poly_pairs(draw):
+    coeffs = draw(st.sampled_from(COEFF_KINDS))
+    return draw(colliding_polys(coeffs)), draw(colliding_polys(coeffs))
+
+
+@given(poly_pairs())
+@settings(max_examples=100, deadline=None)
+def test_polynomial_products_equal_the_term_by_term_ones(pair):
+    p, q = pair
+    product = p * q
+    assert product == Polynomial(product_terms(p, q))
+    assert all(type(a) is int or a.denominator > 1 for _, a in product.items())
+
+
+@given(poly_pairs(), st.builds(Fraction, st.integers(-4, 4), st.sampled_from(COPRIME_DENOMINATORS)))
+@settings(max_examples=60, deadline=None)
+def test_substitute_with_a_fraction_equals_the_term_by_term_sum(pair, value):
+    # x := value, y kept: each term c x^i y^j becomes c value^i y^j.
+    p, q = pair
+    p = p + q * y
+    expected = {}
+    for m, c in p.items():
+        exps = dict(m.exps)
+        rest = Monomial((v, e) for v, e in exps.items() if v != XY[0])
+        expected[rest] = expected.get(rest, 0) + c * value ** exps.get(XY[0], 0)
+    image = p.substitute({XY[0]: value})
+    assert image == Polynomial(expected)
+    assert all(type(a) is int or a.denominator > 1 for _, a in image.items())
+
+
+def test_sums_over_coprime_denominators_reduce_to_ints():
+    # The lcm 29 * 31 exceeds both denominators; [t^1] sums x/29 + 28x/29
+    # and y/31 + 30y/31, which are the ints x and y.
+    p = Fraction(1, 29) * x + Fraction(1, 31) * y
+    q = Fraction(28, 29) * x + Fraction(30, 31) * y
+    product = Series(1, [p, q]) * Series(1, [1, 1])
+    assert product == Series(1, [p, x + y])
+    assert all(type(c) is int for c in product.coeffs[1].terms.values())
+    assert (p + q) * (x - y) == x**2 - y**2
+    assert p * (29 * x - 31 * y) == x**2 - y**2 + (Fraction(29, 31) - Fraction(31, 29)) * x * y
+
+
+def rational_series(rng, order):
+    """A series whose coefficients have several terms over denominators up to 31."""
+    coeffs = []
+    for _ in range(order + 1):
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            exps = ((XY[0], rng.randint(0, 2)), (XY[1], rng.randint(0, 2)))
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(COPRIME_DENOMINATORS))
+            terms[Monomial((v, e) for v, e in exps if e)] = c
+        coeffs.append(Polynomial(terms))
+    return Series(order, coeffs)
+
+
+def test_rational_products_multiply_and_add_no_fractions(monkeypatch):
+    # The kernel multiplies and adds integer numerators over a common
+    # denominator; a Fraction is only built when an output term is divided.
+    rng = random.Random(5)
+    s, r = rational_series(rng, 6), rational_series(rng, 6)
+    head_one = Series(6, (1,) + s.coeffs[1:])
+    p, q = s.coeffs[5] + s.coeffs[6], r.coeffs[4] - r.coeffs[3] * y
+    assert min(len(p.terms), len(q.terms)) > 1
+    expected = unfused_mul(s, r), unfused_reciprocal(head_one), Polynomial(product_terms(p, q))
+    counts = Counter()
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+
+        def counted(self, other, real=getattr(Fraction, name), name=name):
+            counts[name] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert (s * r, head_one.reciprocal(), p * q) == expected
+    assert not counts
+    assert Fraction(1, 2) * 2 == 1 and counts  # the patch does see a product
 
 
 def test_fused_products_keep_integral_coefficients_int():
