@@ -13,7 +13,6 @@ from .matchings import (
     SuperMatching,
     enumerate_matchings,
     enumerate_super,
-    master_poly_S,
     master_poly_T,
 )
 from .poly import Fraction, Monomial, Polynomial, Series, VarId, parse_poly, var
@@ -37,7 +36,6 @@ __all__ = [
     "expand_T",
     "generalized_ward_cf",
     "invert_sequence",
-    "master_poly_S",
     "master_poly_T",
     "named_family",
     "parse_poly",

@@ -8,7 +8,9 @@ Eulerian numbers, computed here both ways: by the recurrence
 
     E2(n,k) = (2n-k) E2(n-1,k-1) + k E2(n-1,k),    E2(0,k) = [k=0],
 
-and by enumerating the words.
+and by enumerating the words.  The recurrence runs as one loop that holds
+one row at a time (``_e2_rows``); ``eulerian2_triangle`` keeps its rows and
+``E2_poly`` reads the last.
 """
 
 from __future__ import annotations
@@ -43,12 +45,6 @@ def descents(word: tuple[int, ...]) -> int:
     if not word:
         return 0
     return 1 + sum(1 for j in range(len(word) - 1) if word[j] > word[j + 1])
-
-
-def eulerian2(n: int, k: int) -> int:
-    """Second-order Eulerian number, read from the recurrence's row n."""
-    row = deque(_e2_rows(n), maxlen=1)[0]
-    return row[k] if 0 <= k <= n else 0
 
 
 def eulerian2_by_enumeration(n: int, k: int) -> int:

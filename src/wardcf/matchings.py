@@ -20,25 +20,24 @@ reproducible.
 The counting oracles poly_18var, poly_12var, generalized_ward_oracle,
 count_Mprime and count_augmented never list decorated matchings.  Their
 weights are local: a wiggly or dashed line on (i, i+1) replaces the pure
-weights of its two vertices.  So the first three walk the base matchings
-once as a tree of left-to-right prefixes, reading each closer's statistics
-from the arches open at it, and sum over the decorations by a two-state
-transfer extended one vertex per prefix (``_decorated_sum``).  The
-transfer runs on ``Polynomial.terms`` keys: a closer factor is the key of
-its monomial, a product is a sum of keys, and the sum is checked once for
-an exponent overflow before it becomes a Polynomial.  The counts read one
-histogram of closer/opener adjacencies per n.  The brute sums over
-enumerate_super / enumerate_augmented are their references in the tests.
-master_poly_T still sums super_weight over the enumeration; master_poly_S,
-its value at f = g = 0, sums it over the undecorated matchings alone.  The
-fractions these counts are checked against are stated in ``contfrac``; this
-module imports nothing of the package but ``poly``.
+weights of its two vertices.  So they walk the base matchings once as a
+tree of left-to-right prefixes, reading each closer's statistics from the
+arches open at it, and sum over the decorations by a two-state transfer
+extended one vertex per prefix (``_decorated_sum``).  The transfer runs on
+``Polynomial.terms`` keys: a closer factor is the key of its monomial, a
+product is a sum of keys, and the sum is checked once for an exponent
+overflow before it becomes a Polynomial.  The two counts read one walk per
+n that weighs each wiggly line by one variable; count_Mprime inverts its
+binomial transform.  The brute sums over enumerate_super /
+enumerate_augmented are their references in the tests.  master_poly_T
+still sums super_weight over the enumeration.  The fractions these counts
+are checked against are stated in ``contfrac``; this module imports
+nothing of the package but ``poly``.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -280,72 +279,6 @@ def qne(i: int, pm: PerfectMatching) -> int:
     return sum(1 for j in range(1, i) if pm.partner[j] > i)
 
 
-def is_record(j: int, pm: PerfectMatching) -> bool:
-    """Opener with no arch nesting strictly above its own."""
-    if not pm.is_opener(j):
-        raise ValueError(f"{j} is not an opener")
-    k = pm.partner[j]
-    return not any(pm.partner[i] > k for i in range(1, j))
-
-
-def is_antirecord(k: int, pm: PerfectMatching) -> bool:
-    """Closer whose arch has nothing nesting above it (equivalently ne = 0)."""
-    if not pm.is_closer(k):
-        raise ValueError(f"{k} is not a closer")
-    j = pm.partner[k]
-    return not any(pm.partner[l] < j for l in range(k + 1, 2 * pm.n + 1))
-
-
-def crossing_total(pm: PerfectMatching) -> int:
-    """Total crossings, by direct scan of the pairs, which pairs() lists by opener."""
-    total = 0
-    for (i, k), (j, l) in combinations(pm.pairs(), 2):
-        if i < j < k < l:
-            total += 1
-    return total
-
-
-def nesting_total(pm: PerfectMatching) -> int:
-    """Total nestings, by direct scan of the pairs, which pairs() lists by opener."""
-    total = 0
-    for (i, l), (j, k) in combinations(pm.pairs(), 2):
-        if i < j < k < l:
-            total += 1
-    return total
-
-
-def clop_count(pm: PerfectMatching) -> int:
-    """Number of positions i with i a closer and i+1 an opener."""
-    return sum(
-        1
-        for i in range(1, 2 * pm.n)
-        if pm.is_closer(i) and pm.is_opener(i + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _clop_histogram(n: int) -> tuple[tuple[int, int], ...]:
-    """(c, number of matchings of [2n] with c closer/opener adjacencies),
-    by increasing c; one pass over the base matchings per n."""
-    return tuple(sorted(Counter(clop_count(pm) for pm in enumerate_matchings(n)).items()))
-
-
-def count_Mprime(n: int, l: int) -> int:
-    """Matchings of [2n] with exactly l closer/opener adjacencies."""
-    return sum(h for c, h in _clop_histogram(n) if c == l)
-
-
-def count_augmented(n: int, l: int) -> int:
-    """Wiggly-only decorated matchings of [2n] with l wiggly lines.
-
-    The wiggly sites of a matching are its closer/opener adjacencies, and
-    no two of them share a vertex, so a matching with c of them carries
-    C(c, l) decorations with l wiggly lines.
-    """
-    histogram = _clop_histogram(n)  # a size below 0 raises whatever l is
-    return sum(h * comb(c, l) for c, h in histogram) if l >= 0 else 0
-
-
 # -- weight families and master polynomials --------------------------------------------
 
 
@@ -398,21 +331,6 @@ def master_poly_T(n: int, w: IndexedWeights) -> Polynomial:
     # Each weight is looked up by many decorated matchings; build it once.
     cached = IndexedWeights(*map(lru_cache(maxsize=None), w))
     return Polynomial.sum(super_weight(sm, cached) for sm in enumerate_super(n))
-
-
-def master_poly_S(
-    n: int,
-    a: Callable[[int], Polynomial],
-    b: Callable[[int, int], Polynomial],
-) -> Polynomial:
-    """Undecorated specialization: master_poly_T at f = g = 0.
-
-    Every decorated matching weighs 0 there, so only the undecorated ones
-    are summed.
-    """
-    zero = lambda l, lp: Polynomial.zero()
-    w = IndexedWeights(a, b, zero, zero)
-    return Polynomial.sum(super_weight(SuperMatching(pm), w) for pm in enumerate_matchings(n))
 
 
 # -- specialized statistics polynomials -------------------------------------------------
@@ -538,3 +456,31 @@ def generalized_ward_oracle(n: int) -> Polynomial:
         return (x if crossings == 0 else u, wp, z if j == k - 1 else wpp)
 
     return _decorated_sum(n, factors)
+
+
+@lru_cache(maxsize=None)
+def _wiggly_counts(n: int) -> tuple[int, ...]:
+    """Wiggly-only decorated matchings of [2n] by their number l = 0..n of
+    wiggly lines: the prefix walk with every closer weighing 1, a wiggly
+    line y and no dashed line, read at y^l."""
+    y = _SLOTS.unit(VarId("y"))
+    terms = _decorated_sum(n, lambda k, j, crossings, nestings: (0, y, None)).terms
+    return tuple(terms.get(l * y, 0) for l in range(n + 1))
+
+
+def count_augmented(n: int, l: int) -> int:
+    """Wiggly-only decorated matchings of [2n] with l wiggly lines."""
+    row = _wiggly_counts(n)  # a size below 0 raises whatever l is
+    return row[l] if 0 <= l <= n else 0
+
+
+def count_Mprime(n: int, l: int) -> int:
+    """Matchings of [2n] with exactly l closer/opener adjacencies.
+
+    The wiggly sites of a matching are its closer/opener adjacencies, and
+    no two of them share a vertex, so a matching with c of them carries
+    C(c, l) decorations with l wiggly lines; this inverts that binomial
+    transform of the wiggly counts.
+    """
+    row = _wiggly_counts(n)
+    return sum((-1) ** (c - l) * comb(c, l) * row[c] for c in range(l, n + 1)) if l >= 0 else 0

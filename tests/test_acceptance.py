@@ -24,7 +24,7 @@ from wardcf.eulerian import (
     E2_reversed,
     clop_equals_eulerian,
     e2_reversed_tfraction_check,
-    eulerian2,
+    eulerian2_triangle,
     ward_euler_identity,
 )
 from wardcf.hankel import (
@@ -245,10 +245,8 @@ def test_criterion_07_second_order_eulerian(capsys):
         [0, 1, 240, 5610, 32120, 58140, 33984, 5040],
         [0, 1, 494, 19950, 195800, 644020, 785304, 341136, 40320],
     ]
-    for n, row in enumerate(table):
-        for k, value in enumerate(row):
-            assert eulerian2(n, k) == value
-    assert eulerian2(7, 4) == 32120
+    assert eulerian2_triangle(8) == table
+    assert eulerian2_triangle(7)[7][4] == 32120
     for n in range(7):
         assert clop_equals_eulerian(n)
     for n in range(9):

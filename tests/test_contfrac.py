@@ -1,8 +1,11 @@
-import tracemalloc
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wardcf
 from wardcf.contfrac import (
     JCoeffs,
     TCoeffs,
@@ -225,14 +228,29 @@ def test_master_T_prefix():
     assert s.coefficient(1) == a0 * b00 + g00
 
 
-def _traced_peak(work):
-    tracemalloc.start()
-    try:
-        result = work()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
+SRC = Path(wardcf.__file__).parents[1]
+TRACED_PEAK = """
+import tracemalloc
+from wardcf.contfrac import expand_T, named_family
+{warm}
+tracemalloc.start()
+{work}
+print(tracemalloc.get_traced_memory()[1])
+{report}
+"""
+
+
+def _traced_peak(warm, work, report=""):
+    """The traced peak of the statements ``work`` after ``warm``, and the
+    lines that ``report`` prints after it, from a fresh interpreter.
+    Variable slots are process-wide: after other tests have registered
+    their variables, master-T's keys would be longer ints."""
+    script = TRACED_PEAK.format(warm=warm, work=work, report=report)
+    done = subprocess.run([sys.executable, "-c", script], cwd=SRC, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    peak, *printed = done.stdout.splitlines()
+    return int(peak), printed
 
 
 def test_master_T_expansion_memory_holds_one_level():
@@ -241,9 +259,12 @@ def test_master_T_expansion_memory_holds_one_level():
     # peaks at 0.77 MB traced, and at 1.22 MB when each level kept the
     # level below and built the body and each coefficient twice (Python
     # 3.11).  The result itself holds 0.40 MB.
-    expand_T(named_family("master-T"), 5)
-    series, peak = _traced_peak(lambda: expand_T(named_family("master-T"), 5))
-    assert [len(c.terms) for c in series.coeffs] == [1, 2, 8, 45, 327, 2934]
+    peak, printed = _traced_peak(
+        'expand_T(named_family("master-T"), 5)',
+        'series = expand_T(named_family("master-T"), 5)',
+        "print([len(c.terms) for c in series.coeffs])",
+    )
+    assert printed == ["[1, 2, 8, 45, 327, 2934]"]
     assert peak < 1.0e6, peak
 
 
@@ -251,11 +272,8 @@ def test_master_T_text_memory_holds_one_degree_class():
     # The canonical text sorts one degree class at a time: str() over the
     # order-5 master-T coefficients peaks at 0.74 MB traced, and at 1.14 MB
     # when every key's sort row was held at once (Python 3.11).
-    coeffs = expand_T(named_family("master-T"), 5).coeffs
-    [str(c) for c in coeffs]
-
-    def texts():
-        for c in coeffs:
-            str(c)
-
-    assert _traced_peak(texts)[1] < 0.95e6
+    peak, _ = _traced_peak(
+        'coeffs = expand_T(named_family("master-T"), 5).coeffs\n[str(c) for c in coeffs]',
+        "for c in coeffs:\n    str(c)",
+    )
+    assert peak < 0.95e6, peak

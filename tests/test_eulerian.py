@@ -1,13 +1,14 @@
 import math
+from collections import deque
 
 from wardcf.eulerian import (
+    _e2_rows,
     E2_poly,
     E2_reversed,
     clop_equals_eulerian,
     descents,
     e2_reversed_tfraction_check,
     enumerate_stirling_perms,
-    eulerian2,
     eulerian2_by_enumeration,
     eulerian2_triangle,
     ward_euler_identity,
@@ -19,6 +20,13 @@ from wardcf.ward import ward_reversed
 
 def double_factorial(m):
     return math.prod(range(m, 0, -2)) if m > 0 else 1
+
+
+def eulerian2(n, k):
+    """E2(n, k), read from the recurrence's row n; the rows before it are
+    dropped as they are passed."""
+    row = deque(_e2_rows(n), maxlen=1)[0]
+    return row[k] if 0 <= k <= n else 0
 
 
 E2_TABLE = [

@@ -6,7 +6,8 @@ imports nothing of the package but ``poly``; and the graph has no cycle.
 Importing ``wardcf.cli``, which every command-line run pays, pulls in
 neither ``dataclasses`` nor ``inspect``: the value types are NamedTuples,
 and they stay immutable.  Every function and class the package defines is
-used somewhere in the repository.
+used somewhere in the repository, and all but an allow-list of them are
+reached from the command line, from import time or from a demo.
 """
 
 import ast
@@ -171,3 +172,91 @@ def test_every_definition_is_referenced():
         and n.name not in used
     }
     assert not defined, sorted(defined)
+
+
+# -- reachability -------------------------------------------------------------------------
+
+# Definitions in src that neither a command-line run nor a demo reaches, each
+# kept for a reason.  The list is exact: a name that becomes reached, or stops
+# being defined, fails the test as surely as a new unreached one.
+UNREACHED = {
+    "matchings.parse_matching": "text round trip of format_matching",
+    "paths.parse_path": "text round trip of format_path",
+    "trees.parse_tree": "text round trip of serialize_tree",
+    "trees.multivariate_ward": "tree side of a multivariate-ward suite, against "
+                               "ward.multivariate_ward_via_inversion",
+    "eulerian.enumerate_stirling_perms": "E2 by descents of Stirling permutations, "
+                                         "a second side for ward-euler",
+    "eulerian.descents": "E2 by descents of Stirling permutations",
+    "eulerian.eulerian2_by_enumeration": "E2 by descents of Stirling permutations",
+}
+
+
+def used_names(nodes):
+    """The names and attribute names that nodes use.  String constants are
+    not followed: a parser choice such as ``"eulerian2"`` runs nothing."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def header(node):
+    """What a def or class statement evaluates when it runs: decorators,
+    default values and base classes (annotations are not evaluated)."""
+    if isinstance(node, ast.ClassDef):
+        return node.decorator_list + node.bases + node.keywords
+    return node.decorator_list + node.args.defaults + [d for d in node.args.kw_defaults if d]
+
+
+def is_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreached_definitions():
+    """Module-level functions, classes and methods of src that no root
+    reaches by name.  The roots are ``cli.main``, every statement that runs
+    when a module is imported and every name a demo uses.  A reached
+    definition reaches the names in its body, a reached class its dunder
+    methods, and a name reaches every definition of that name."""
+    defs, by_name, roots = {}, {}, {"main"}
+    for p in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(p.read_text(), str(p)).body:
+            if not is_def(stmt):
+                roots |= used_names([stmt])
+                continue
+            members = {f"{p.stem}.{stmt.name}": stmt}
+            if isinstance(stmt, ast.ClassDef):
+                roots |= used_names(s for s in stmt.body if not is_def(s))
+                members.update((f"{p.stem}.{stmt.name}.{s.name}", s)
+                               for s in stmt.body if is_def(s))
+            for qualname, node in members.items():
+                roots |= used_names(header(node))
+                defs[qualname] = node
+                by_name.setdefault(node.name, set()).add(qualname)
+    for p in sorted((ROOT / "demos").glob("*.py")):
+        roots |= used_names([ast.parse(p.read_text(), str(p))])
+
+    reached, todo = set(), list(roots)
+    while todo:
+        for qualname in by_name.get(todo.pop(), set()) - reached:
+            reached.add(qualname)
+            body = defs[qualname].body
+            if isinstance(defs[qualname], ast.ClassDef):
+                # Its other statements ran at import.  Dunder methods run
+                # implicitly; the other methods are reached by name.
+                body = [s for s in body if is_def(s) and is_dunder(s.name)]
+            todo += used_names(body)
+    return {q for q, node in defs.items() if q not in reached and not is_dunder(node.name)}
+
+
+def test_src_holds_only_what_a_verb_or_demo_runs():
+    unreached = unreached_definitions()
+    assert unreached - set(UNREACHED) == set(), "reached by no verb or demo"
+    assert set(UNREACHED) - unreached == set(), "allow-listed but reached or gone"

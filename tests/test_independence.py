@@ -46,9 +46,9 @@ GUARDS = [
     ("generalized_ward_oracle", lambda: matchings.generalized_ward_oracle(3),
      besides("matchings"), {"enumerate_super"}, "_prefix_walk"),
     ("count_Mprime", lambda: matchings.count_Mprime(3, 1), besides("matchings"),
-     {"enumerate_super", "enumerate_augmented"}, "enumerate_matchings"),
+     {"enumerate_super", "enumerate_augmented"}, "_prefix_walk"),
     ("count_augmented", lambda: matchings.count_augmented(3, 1), besides("matchings"),
-     {"enumerate_super", "enumerate_augmented"}, "enumerate_matchings"),
+     {"enumerate_super", "enumerate_augmented"}, "_prefix_walk"),
     ("master_poly_T", lambda: matchings.master_poly_T(3, matchings.IndexedWeights.symbolic()),
      besides("matchings"), set(), "enumerate_super"),
     ("ward_poly", lambda: ward.ward_poly(3), besides("ward"),
@@ -86,9 +86,9 @@ def entered(call):
 @pytest.mark.parametrize("name, call, modules, functions, witness", GUARDS,
                          ids=[g[0] for g in GUARDS])
 def test_oracle_stays_independent(name, call, modules, functions, witness):
-    # The closer/opener histogram is cached per n; start from an empty cache
-    # so that the count oracles do their work under the hook.
-    matchings._clop_histogram.cache_clear()
+    # The wiggly counts are cached per n; start from an empty cache so that
+    # the count oracles do their work under the hook.
+    matchings._wiggly_counts.cache_clear()
     seen = entered(call)
     assert witness in {fn for _, fn in seen}, f"{name}: the hook saw no {witness}"
     assert not {mod for mod, _ in seen} & modules, f"{name} entered {modules & {m for m, _ in seen}}"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -19,22 +20,16 @@ from wardcf.matchings import (
     IndexedWeights,
     PerfectMatching,
     SuperMatching,
-    clop_count,
     count_augmented,
     count_Mprime,
     cr,
-    crossing_total,
     enumerate_augmented,
     enumerate_matchings,
     enumerate_super,
     format_matching,
     generalized_ward_oracle,
-    is_antirecord,
-    is_record,
-    master_poly_S,
     master_poly_T,
     ne,
-    nesting_total,
     parse_matching,
     poly_12var,
     poly_18var,
@@ -51,6 +46,52 @@ def pm(*pairs):
 
 def double_factorial(m):
     return math.prod(range(m, 0, -2)) if m > 0 else 1
+
+
+# -- brute statistics, read off the pairs ---------------------------------------
+
+
+def is_record(j, pm):
+    """Opener with no arch nesting strictly above its own."""
+    if not pm.is_opener(j):
+        raise ValueError(f"{j} is not an opener")
+    k = pm.partner[j]
+    return not any(pm.partner[i] > k for i in range(1, j))
+
+
+def is_antirecord(k, pm):
+    """Closer whose arch has nothing nesting above it (equivalently ne = 0)."""
+    if not pm.is_closer(k):
+        raise ValueError(f"{k} is not a closer")
+    j = pm.partner[k]
+    return not any(pm.partner[l] < j for l in range(k + 1, 2 * pm.n + 1))
+
+
+def crossing_total(pm):
+    """Total crossings, by direct scan of the pairs, which pairs() lists by opener."""
+    total = 0
+    for (i, k), (j, l) in combinations(pm.pairs(), 2):
+        if i < j < k < l:
+            total += 1
+    return total
+
+
+def nesting_total(pm):
+    """Total nestings, by direct scan of the pairs, which pairs() lists by opener."""
+    total = 0
+    for (i, l), (j, k) in combinations(pm.pairs(), 2):
+        if i < j < k < l:
+            total += 1
+    return total
+
+
+def clop_count(pm):
+    """Number of positions i with i a closer and i+1 an opener."""
+    return sum(
+        1
+        for i in range(1, 2 * pm.n)
+        if pm.is_closer(i) and pm.is_opener(i + 1)
+    )
 
 
 # -- structures and enumeration -------------------------------------------------
@@ -271,34 +312,22 @@ def test_master_poly_T_matches_tfraction():
         assert master_poly_T(n, w) == s.coefficient(n)
 
 
-def test_master_poly_S_matches_sfraction():
+def test_master_poly_T_without_lines_matches_sfraction():
+    # At f = g = 0 every decorated matching weighs 0, so master_poly_T sums
+    # the undecorated matchings: the S-fraction with alpha_i = a_{i-1} b*_{i-1}.
     a = lambda l: var("a", l)
     b = lambda l, lp: var("b", l, lp)
-    assert master_poly_S(1, a, b) == var("a", 0) * var("b", 0, 0)
+    zero = lambda l, lp: Polynomial.zero()
+    w = IndexedWeights(a, b, zero, zero)
+    assert master_poly_T(1, w) == var("a", 0) * var("b", 0, 0)
     b00, b01, b10 = var("b", 0, 0), var("b", 0, 1), var("b", 1, 0)
     a0, a1 = var("a", 0), var("a", 1)
-    assert master_poly_S(2, a, b) == a0 * a1 * b00 * (b01 + b10) + a0**2 * b00**2
+    assert master_poly_T(2, w) == a0 * a1 * b00 * (b01 + b10) + a0**2 * b00**2
 
     alpha = lambda i: var("a", i - 1) * star(b, i - 1)
     s = expand_S(alpha, 4)
     for n in range(5):
-        assert master_poly_S(n, a, b) == s.coefficient(n)
-
-
-def test_master_poly_S_sums_undecorated_matchings_only(monkeypatch):
-    # At f = g = 0 every decorated matching weighs 0, so master_poly_S must
-    # equal master_poly_T there without listing the decorated matchings.
-    a = lambda l: var("a", l)
-    b = lambda l, lp: var("b", l, lp)
-    zero = lambda l, lp: Polynomial.zero()
-    expected = [master_poly_T(n, IndexedWeights(a, b, zero, zero)) for n in range(5)]
-
-    def forbidden(n):
-        raise AssertionError("master_poly_S entered enumerate_super")
-
-    monkeypatch.setattr(matchings, "enumerate_super", forbidden)
-    for n in range(5):
-        assert master_poly_S(n, a, b) == expected[n], n
+        assert master_poly_T(n, w) == s.coefficient(n)
 
 
 # -- 18- and 12-variable specializations ----------------------------------------------------
@@ -535,12 +564,26 @@ def sweep_decorated_sum(n, factors):
     return Polynomial._raw(total)
 
 
-def brute_count_Mprime(n, l):
-    return sum(1 for m in enumerate_matchings(n) if clop_count(m) == l)
-
-
 def brute_count_augmented(n, l):
     return sum(1 for sm in enumerate_augmented(n) if len(sm.wiggly) == l)
+
+
+def clop_histogram(n):
+    """Matchings of [2n] by their number of closer/opener adjacencies."""
+    return Counter(clop_count(m) for m in enumerate_matchings(n))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_counts_match_clop_histogram(n):
+    # A matching with c adjacencies carries C(c, l) wiggly-only decorations
+    # with l lines, so the augmented counts are the histogram's binomial
+    # transform.
+    histogram = clop_histogram(n)
+    sizes = range(-1, n + 2)
+    assert [count_Mprime(n, l) for l in sizes] == [histogram[l] for l in sizes]
+    assert [count_augmented(n, l) for l in sizes] == [
+        sum(h * math.comb(c, l) for c, h in histogram.items()) if l >= 0 else 0 for l in sizes
+    ]
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -549,7 +592,6 @@ def test_oracles_match_brute_references(n):
     assert poly_12var(n) == brute_poly_12var(n)
     assert generalized_ward_oracle(n) == brute_generalized_ward(n)
     for l in range(-1, n + 2):
-        assert count_Mprime(n, l) == brute_count_Mprime(n, l)
         assert count_augmented(n, l) == brute_count_augmented(n, l)
 
 
