@@ -167,9 +167,7 @@ def test_every_definition_is_referenced():
         f"{p.relative_to(ROOT)}:{n.lineno} {n.name}"
         for p in sorted((ROOT / "src" / "wardcf").glob("*.py"))
         for n in ast.walk(ast.parse(p.read_text(), str(p)))
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (n.name.startswith("__") and n.name.endswith("__"))
-        and n.name not in used
+        if is_def(n) and not is_dunder(n.name) and n.name not in used
     }
     assert not defined, sorted(defined)
 
