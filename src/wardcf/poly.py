@@ -1,12 +1,18 @@
 """Exact sparse multivariate polynomials and truncated formal power series.
 
-Coefficients are arbitrary-precision rationals, stored as plain ``int``
-whenever the denominator is 1 and as ``fractions.Fraction`` otherwise.
-Polynomials are kept in canonical form (no zero coefficients), so
-structural equality is mathematical equality.
+A polynomial is an integer polynomial over one denominator.  Its ``terms``
+map packed monomial keys to nonzero ``int`` numerators, and its ``den`` is
+a positive ``int`` with gcd(den, *numerators) = 1; zero is ``({}, 1)``.
+This lowest-terms form is canonical, so structural equality is
+mathematical equality.  Every sum, product, reciprocal, derivative,
+coefficient extraction and substitution runs on ints and finishes through
+``_lowest``: one gcd over the numerators, and one exact division when it
+is not 1.  A ``Fraction`` appears only at the boundary: ``Polynomial(...)``,
+``const`` and ``parse_poly`` read rationals through ``_from_rationals``,
+and ``items()``, ``coefficient()`` and the text format write them through
+``_ratio``.
 
-A polynomial's ``terms`` map packed integer keys to coefficients.  A
-private registry gives each variable, on its first use in a polynomial, a
+A private registry gives each variable, on its first use in a polynomial, a
 fixed 16-bit slot: 15 exponent bits and one guard bit above them.  A
 monomial's key holds each exponent in its variable's slot, so the key of a
 product is the sum of the keys.  Exponents are at most ``MAX_EXPONENT``;
@@ -23,13 +29,13 @@ module is the only one that defines a key format: the decorated-matching
 transfer in ``matchings`` adds the registry's variable keys and checks its
 guard bits, and the Hankel scan re-encodes the Monomials it reads.
 
-Products multiply and add ints only.  ``Polynomial`` and ``Series``
-products and ``Series.reciprocal`` clear each operand's denominators with
-one lcm, multiply and accumulate the integer numerators in
-``_add_product``, and divide each output term once by the product of the
-two lcms: one gcd, and an int when the division is exact.  For integer
-coefficients the lcm is 1, and nothing is scaled or copied.  ``compose``,
-``compositional_inverse`` and ``substitute`` run on the same products.
+``_add_product`` multiplies and adds the numerators of two term maps into
+an accumulator.  A ``Polynomial`` product divides it by the product of the
+two denominators.  A ``Series`` product or reciprocal first brings each
+operand's coefficients over the lcm of their stored denominators
+(``Polynomial._scaled``; an integer series is neither scaled nor copied).
+``compose``, ``compositional_inverse`` and ``substitute`` run on the same
+products.
 
 Series are truncated at an explicit order; operations on mismatched orders
 raise rather than silently truncating.  The variable ``t`` is reserved for
@@ -44,22 +50,15 @@ from array import array
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from operator import getitem, or_
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Rat = Union[int, Fraction]
 
 _EXPONENT_BITS = 15
 _SLOT_BITS = _EXPONENT_BITS + 1
 MAX_EXPONENT = (1 << _EXPONENT_BITS) - 1
-
-
-def _norm_coeff(c: Rat) -> Rat:
-    """Store exact rationals as int when the denominator is 1."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
 
 
 def _checked(value, types: tuple, what: str):
@@ -70,80 +69,58 @@ def _checked(value, types: tuple, what: str):
     return value
 
 
-def _clean(terms: dict) -> dict:
-    """The nonzero terms of an accumulator, integral Fractions as int."""
-    return {k: c if type(c) is int else _norm_coeff(c) for k, c in terms.items() if c}
+def _lowest(terms: dict[int, int], den: int) -> "Polynomial":
+    """The polynomial terms / den in lowest terms, for den > 0.
 
-
-def _accumulate(target: dict, terms: Mapping) -> None:
-    """Add a term map into an accumulator dict.
-
-    Zeros stay in target for the final sweep (``_clean``).
+    terms is an accumulator the caller gives up: its zero values are
+    deleted and the rest divided by their gcd with den in place, so no
+    second dict is built.
     """
-    get = target.get
-    for m, c in terms.items():
-        target[m] = get(m, 0) + c
+    if not all(terms.values()):
+        for k in [k for k, c in terms.items() if not c]:
+            del terms[k]
+    if den != 1:
+        g = gcd(den, *terms.values())  # den itself when terms is empty
+        if g != 1:
+            den //= g
+            for k, c in terms.items():
+                terms[k] = c // g
+    return Polynomial._raw(terms, den)
 
 
-def _denominator(terms: Mapping[int, Rat]) -> int:
-    """The lcm of the denominators of the coefficients: 1 when all are ints."""
-    d = 1
-    for c in terms.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    return d
-
-
-def _series_denominator(s: "Series") -> int:
-    """The lcm of the denominators of every coefficient of s."""
-    return lcm(*[_denominator(c.terms) for c in s.coeffs])
-
-
-def _numerators(terms: Mapping[int, Rat], scale: int) -> Collection[tuple[int, int]]:
-    """The (key, coefficient * scale) pairs of terms, where scale is a
-    multiple of ``_denominator(terms)``: all ints.  When scale is 1 they
-    are the dict's own items, not a copy."""
-    if scale == 1:
-        return terms.items()
-    return [
-        (k, c * scale if type(c) is int else c.numerator * (scale // c.denominator))
-        for k, c in terms.items()
-    ]
+def _from_rationals(pairs: Iterable[tuple[int, Rat]]) -> "Polynomial":
+    """The sum of the terms c * key over the (key, int or Fraction) pairs:
+    their numerators over the lcm of their denominators, in lowest terms."""
+    pairs = list(pairs)
+    den = lcm(*[c.denominator for _, c in pairs])
+    out: dict[int, int] = {}
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c.numerator * (den // c.denominator)
+    return _lowest(out, den)
 
 
 def _ratio(num: int, den: int) -> Rat:
     """num / den: an int when the division is exact, else a Fraction
     reduced by one gcd."""
+    if den == 1:
+        return num
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q
 
 
-def _over(terms: dict, den: int) -> dict:
-    """The nonzero sums of integer products in an accumulator, each
-    divided once by den (see ``_add_product``)."""
-    if den == 1:
-        return {k: c for k, c in terms.items() if c}
-    return {k: _ratio(c, den) for k, c in terms.items() if c}
-
-
-def _add_product(
-    acc: dict, a: Collection[tuple[int, int]], b: Collection[tuple[int, int]]
-) -> None:
-    """Add the product of two collections of (key, int) pairs into the
+def _add_product(acc: dict, a: Mapping[int, int], b: Mapping[int, int]) -> None:
+    """Add the product of two maps of key to int numerator into the
     accumulator acc, the shorter one in the outer loop.
 
-    The coefficients are ints only: rational operands come in as
-    ``_numerators`` over a common denominator, and the caller divides each
-    accumulated sum by the product of the two denominators once
-    (``_over``), so no Fraction is multiplied or added here.  Every key
-    the product makes stays in acc, zeros included, so that one
-    ``_SLOTS.check(acc)`` before the final sweep sees all of them.
+    Every key the product makes stays in acc, zeros included, so that one
+    ``_SLOTS.check(acc)`` before ``_lowest`` sees all of them.
     """
     if len(a) > len(b):
         a, b = b, a
+    right = b.items()
     get = acc.get
-    for k1, c1 in a:
-        for k2, c2 in b:
+    for k1, c1 in a.items():
+        for k2, c2 in right:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
 
@@ -412,14 +389,15 @@ def _print_order(keys: list[int]) -> Iterator[tuple[int, str]]:
 
 
 class Polynomial:
-    """Sparse exact polynomial: a map from packed monomial key to nonzero
-    rational (see the module docstring).
+    """Sparse exact polynomial: ``terms``, a map from packed monomial key to
+    nonzero int numerator, over the positive int ``den``, in lowest terms
+    (see the module docstring).
 
     Canonical form makes ``==`` structural and mathematical at once.
     Instances are immutable by convention; all operations return new values.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "den", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Rat] | None = None):
         if terms is not None and not isinstance(terms, Mapping):
@@ -427,21 +405,21 @@ class Polynomial:
                 f"terms must be a mapping of Monomial to coefficient, not {type(terms).__name__}"
                 " (Polynomial.const makes a constant)"
             )
-        out: dict[int, Rat] = {}
-        if terms:
-            for m, c in terms.items():
-                c = _norm_coeff(_checked(c, (int, Fraction), "coefficient"))
-                if c != 0:
-                    out[_SLOTS.key(m)] = c
-        self.terms = out
+        p = _from_rationals(
+            (_SLOTS.key(m), c)
+            for m, c in (terms or {}).items()
+            if _checked(c, (int, Fraction), "coefficient")
+        )
+        self.terms, self.den = p.terms, p.den
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c: Rat) -> "Polynomial":
-        c = c if type(c) is int else _norm_coeff(_checked(c, (int, Fraction), "coefficient"))
-        return cls._raw({0: c} if c else {})
+        if type(c) is int:
+            return cls._raw({0: c} if c else {})
+        return _from_rationals([(0, _checked(c, (int, Fraction), "coefficient"))])
 
     @classmethod
     def variable(cls, v: VarId) -> "Polynomial":
@@ -470,23 +448,31 @@ class Polynomial:
         """value as a Polynomial; unlike _coerce, raises TypeError if it cannot be."""
         return Polynomial._coerce(_checked(value, (Polynomial, int, Fraction), "polynomial value"))
 
+    def _scaled(self, den: int) -> dict[int, int]:
+        """The numerators of self over den, a multiple of self.den: its own
+        terms, not a copy, when den is self.den."""
+        if den == self.den:
+            return self.terms
+        scale = den // self.den
+        return {k: c * scale for k, c in self.terms.items()}
+
     def __add__(self, other):
         other = Polynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s if type(s) is int else _norm_coeff(s)
-        return Polynomial._raw(out)
+        if len(self.terms) < len(other.terms):  # copy the longer, add the shorter in
+            self, other = other, self
+        den = lcm(self.den, other.den)
+        out = dict(self._scaled(den))
+        get = out.get
+        for k, c in other._scaled(den).items():
+            out[k] = get(k, 0) + c
+        return _lowest(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw({m: -c for m, c in self.terms.items()})
+        return Polynomial._raw({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = Polynomial._coerce(other)
@@ -504,17 +490,15 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        da, db = _denominator(a), _denominator(b)
-        left, right = _numerators(a, da), _numerators(b, db)
         out: dict[int, int] = {}
         if len(a) == 1:  # one term shifts every key of b alike: no collisions
-            ((k1, c1),) = left
-            for k2, c2 in right:
+            ((k1, c1),) = a.items()
+            for k2, c2 in b.items():
                 out[k1 + k2] = c1 * c2
         else:
-            _add_product(out, left, right)
+            _add_product(out, a, b)
         _SLOTS.check(out)
-        return Polynomial._raw(_over(out, da * db))
+        return _lowest(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -531,30 +515,41 @@ class Polynomial:
         return result
 
     @classmethod
-    def _raw(cls, terms: dict[int, Rat]) -> "Polynomial":
+    def _raw(cls, terms: dict[int, int], den: int = 1) -> "Polynomial":
         p = cls.__new__(cls)
         p.terms = terms
+        p.den = den
         p._hash = None
         return p
 
     @classmethod
     def sum(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
-        """Sum many polynomials with a single accumulator dict."""
-        out: dict[int, Rat] = {}
+        """Sum many polynomials with a single accumulator dict, over the lcm
+        of the denominators seen so far: a new denominator rescales the
+        accumulator, so polys is read once and never listed."""
+        out: dict[int, int] = {}
+        get = out.get
+        den = 1
         for p in polys:
-            _accumulate(out, p.terms)
-        return cls._raw(_clean(out))
+            if den % p.den:
+                scale = p.den // gcd(den, p.den)
+                for k, c in out.items():
+                    out[k] = c * scale
+                den *= scale
+            for k, c in p._scaled(den).items():
+                out[k] = get(k, 0) + c
+        return _lowest(out, den)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Polynomial.const(other)
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self.den, frozenset(self.terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -567,7 +562,8 @@ class Polynomial:
 
     def items(self) -> list[tuple[Monomial, Rat]]:
         """The terms as (Monomial, coefficient) pairs, in no set order."""
-        return [(_SLOTS.monomial(k), c) for k, c in self.terms.items()]
+        den = self.den
+        return [(_SLOTS.monomial(k), _ratio(c, den)) for k, c in self.terms.items()]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -583,7 +579,7 @@ class Polynomial:
         return unit is not None and bool(reduce(or_, self.terms, 0) & unit * MAX_EXPONENT)
 
     def coefficient(self, m: Monomial) -> Rat:
-        return self.terms.get(_SLOTS.key(m), 0)
+        return _ratio(self.terms.get(_SLOTS.key(m), 0), self.den)
 
     def coefficient_of(self, v: VarId, k: int) -> "Polynomial":
         """The polynomial coefficient of v**k, with v stripped out; zero for
@@ -591,8 +587,9 @@ class Polynomial:
         unit = _SLOTS.unit(v)
         shift = unit.bit_length() - 1
         strip = k * unit
-        return Polynomial._raw(
-            {key - strip: c for key, c in self.terms.items() if (key >> shift) & MAX_EXPONENT == k}
+        return _lowest(
+            {key - strip: c for key, c in self.terms.items() if (key >> shift) & MAX_EXPONENT == k},
+            self.den,
         )
 
     # -- algebra helpers -----------------------------------------------------
@@ -621,7 +618,7 @@ class Polynomial:
         )
         pieces = []
         for key, c in self.terms.items():
-            factor = Polynomial.const(c)
+            factor = _lowest({0: c}, self.den)
             rest = key
             for v, shift, unit in bound:
                 e = (key >> shift) & MAX_EXPONENT
@@ -633,8 +630,8 @@ class Polynomial:
             pieces.append(factor)
         return Polynomial.sum(pieces)
 
-    def _strip(self, v: VarId) -> tuple[int, list[tuple[int, int, Rat]]]:
-        """v's unit and each term as (key, exponent of v, coefficient)."""
+    def _strip(self, v: VarId) -> tuple[int, list[tuple[int, int, int]]]:
+        """v's unit and each term as (key, exponent of v, numerator)."""
         unit = _SLOTS.unit(v)
         shift = unit.bit_length() - 1
         return unit, [(k, (k >> shift) & MAX_EXPONENT, c) for k, c in self.terms.items()]
@@ -642,44 +639,44 @@ class Polynomial:
     def deriv(self, v: VarId) -> "Polynomial":
         """Exact partial derivative with respect to v."""
         unit, terms = self._strip(v)
-        return Polynomial._raw(_clean({k - unit: c * e for k, e, c in terms if e}))
+        return _lowest({k - unit: c * e for k, e, c in terms if e}, self.den)
 
     def div_var(self, v: VarId) -> "Polynomial":
         """Exact division by the variable v; raises if not divisible."""
         unit, terms = self._strip(v)
         if any(e == 0 for _, e, _ in terms):
             raise ValueError(f"not divisible by {v}")
-        return Polynomial._raw({k - unit: c for k, _, c in terms})
+        return Polynomial._raw({k - unit: c for k, _, c in terms}, self.den)
 
     def reversed_in(self, v: VarId, n: int) -> "Polynomial":
         """Degree-n reversal in v: sum c_k v^k  ->  sum c_k v^(n-k)."""
         unit, terms = self._strip(v)
-        out: dict[int, Rat] = {}
+        out: dict[int, int] = {}
         for k, e, c in terms:
             if e > n:
                 raise ValueError("degree exceeds reversal bound")
             if n - e > MAX_EXPONENT:
                 raise OverflowError(f"exponent {n - e} of {v} exceeds {MAX_EXPONENT}")
             out[k + (n - 2 * e) * unit] = c
-        return Polynomial._raw(out)
+        return Polynomial._raw(out, self.den)
 
     # -- text format ---------------------------------------------------------
 
     def __str__(self):
-        terms = self.terms
+        terms, den = self.terms, self.den
         if not terms:
             return "0"
         parts = []
         for k, mono in _print_order(list(terms)):
             c = terms[k]
             neg = c < 0
-            a = -c if neg else c
+            a = _ratio(-c if neg else c, den)
             if not k:
-                body = _coeff_str(a)
+                body = str(a)
             elif a == 1:
                 body = mono
             else:
-                body = f"{_coeff_str(a)}*{mono}"
+                body = f"{a}*{mono}"
             if not parts:
                 parts.append(f"-{body}" if neg else body)
             else:
@@ -688,12 +685,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def _coeff_str(c: Rat) -> str:
-    if type(c) is Fraction and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
 
 
 def var(name: str, *indices: int) -> Polynomial:
@@ -731,7 +722,7 @@ def parse_poly(text: str) -> Polynomial:
     ]
     if any(not term for _, term in terms):
         raise ValueError(f"empty term in {text!r}")
-    out: dict[int, Rat] = {}
+    pairs: list[tuple[int, Rat]] = []
     for sgn, term in terms:
         coeff: Rat = sgn
         exps: dict[VarId, int] = {}
@@ -759,8 +750,8 @@ def parse_poly(text: str) -> Polynomial:
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} of {v} exceeds the limit {MAX_EXPONENT}")
             key += e * _SLOTS.unit(v)
-        out[key] = out.get(key, 0) + coeff
-    return Polynomial._raw(_clean(out))
+        pairs.append((key, coeff))
+    return _from_rationals(pairs)
 
 
 class Series:
@@ -822,10 +813,14 @@ class Series:
         return hash((self.order, self.coeffs))
 
     def __add__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
+            return NotImplemented
         self._check_order(other)
         return Series(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
+            return NotImplemented
         self._check_order(other)
         return Series(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -833,19 +828,23 @@ class Series:
         return Series(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
+            return NotImplemented
         self._check_order(other)
         n = self.order
-        ds, dr = _series_denominator(self), _series_denominator(other)
+        ds = lcm(*[a.den for a in self.coeffs])
+        dr = lcm(*[b.den for b in other.coeffs])
+        right = [b._scaled(dr) for b in other.coeffs]
         acc: list[dict] = [{} for _ in range(n + 1)]
         for i, a in enumerate(self.coeffs):
             if a.terms:
-                left = _numerators(a.terms, ds)
-                for d, b in zip(acc[i:], other.coeffs):
-                    if b.terms:
-                        _add_product(d, left, _numerators(b.terms, dr))
+                left = a._scaled(ds)
+                for d, b in zip(acc[i:], right):
+                    if b:
+                        _add_product(d, left, b)
         for d in acc:
             _SLOTS.check(d)
-        return Series(n, [Polynomial._raw(_over(d, ds * dr)) for d in acc])
+        return Series(n, [_lowest(d, ds * dr) for d in acc])
 
     def scale(self, p: Polynomial | Rat) -> "Series":
         p = Polynomial._coerce_or_raise(p)
@@ -862,35 +861,27 @@ class Series:
         """Inverse modulo t**(order+1); requires constant term 1.
 
         Coefficient n is summed over the common denominator d * e, where d
-        clears the denominators of self and e those of coefficients 0..n-1
-        of the result.  Its accumulator dict then becomes the coefficient
-        itself: its zero keys are deleted and its values negated and
-        divided in place, so no second dict is built.
+        is the lcm of the denominators of self and e that of coefficients
+        0..n-1 of the result.  Its accumulator dict then becomes the
+        coefficient itself: its values are negated in place and it goes
+        through ``_lowest``, so no second dict is built.
         """
         if self.coeffs[0] != Polynomial.one():
             raise ValueError("reciprocal needs constant term 1")
-        d = _series_denominator(self)
+        d = lcm(*[c.den for c in self.coeffs])
+        coeffs = [c._scaled(d) for c in self.coeffs]
         e = 1
         out = [Polynomial.one()]
         for n in range(1, self.order + 1):
             acc: dict = {}
             for j in range(1, n + 1):
-                if self.coeffs[j].terms:
-                    _add_product(
-                        acc, _numerators(self.coeffs[j].terms, d), _numerators(out[n - j].terms, e)
-                    )
+                if coeffs[j]:
+                    _add_product(acc, coeffs[j], out[n - j]._scaled(e))
             _SLOTS.check(acc)
-            for k in [k for k, c in acc.items() if not c]:
-                del acc[k]
-            den = d * e
-            if den == 1:
-                for k, c in acc.items():
-                    acc[k] = -c
-            else:
-                for k, c in acc.items():
-                    acc[k] = _ratio(-c, den)
-                e = lcm(e, _denominator(acc))
-            out.append(Polynomial._raw(acc))
+            for k, c in acc.items():
+                acc[k] = -c
+            out.append(_lowest(acc, d * e))
+            e = lcm(e, out[-1].den)
         return Series(self.order, out)
 
     def compose(self, inner: "Series") -> "Series":

@@ -29,7 +29,6 @@ from wardcf.poly import (
     Monomial,
     Polynomial,
     VarId,
-    _norm_coeff,
     parse_poly,
     var,
 )
@@ -49,7 +48,7 @@ def const_seq(values):
 
 
 def coefficientwise_nonneg(p):
-    return all(c >= 0 for c in p.terms.values())
+    return all(c >= 0 for _, c in p.items())
 
 
 def divide_exact(p, divisor):
@@ -63,9 +62,10 @@ def divide_exact(p, divisor):
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     quotient = {}
-    rem = dict(p.terms)
-    lead_k = max(divisor.terms)
-    lead_c = Fraction(divisor.terms[lead_k])
+    rem = {_SLOTS.key(m): c for m, c in p.items()}
+    terms = {_SLOTS.key(m): c for m, c in divisor.items()}
+    lead_k = max(terms)
+    lead_c = Fraction(terms[lead_k])
     guards = _SLOTS.guards
     while rem:
         k = max(rem)
@@ -75,9 +75,9 @@ def divide_exact(p, divisor):
         if shifted & guards != guards:
             raise ValueError("not exactly divisible")
         qk = shifted - guards
-        qc = _norm_coeff(Fraction(rem[k]) / lead_c)
+        qc = Fraction(rem[k]) / lead_c
         quotient[qk] = qc
-        for dk, dc in divisor.terms.items():
+        for dk, dc in terms.items():
             key = dk + qk
             if key & guards:
                 raise OverflowError(f"a product has an exponent above {MAX_EXPONENT}")
@@ -85,8 +85,8 @@ def divide_exact(p, divisor):
             if s == 0:
                 rem.pop(key, None)
             else:
-                rem[key] = _norm_coeff(s)
-    return Polynomial._raw(quotient)
+                rem[key] = s
+    return Polynomial({_SLOTS.monomial(k): c for k, c in quotient.items()})
 
 
 def det_cofactor(matrix):
