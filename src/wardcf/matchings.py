@@ -30,9 +30,11 @@ overflow before it becomes a Polynomial.  The two counts read one walk per
 n that weighs each wiggly line by one variable; count_Mprime inverts its
 binomial transform.  The brute sums over enumerate_super /
 enumerate_augmented are their references in the tests.  master_poly_T
-still sums super_weight over the enumeration.  The fractions these counts
-are checked against are stated in ``contfrac``; this module imports
-nothing of the package but ``poly``.
+sums super_weight over the enumeration, one sweep per decorated matching:
+super_weight reads every statistic off one left-to-right pass and
+multiplies its factors by one ``Polynomial.product``.  The fractions these
+counts are checked against are stated in ``contfrac``; this module
+imports nothing of the package but ``poly``.
 """
 
 from __future__ import annotations
@@ -144,14 +146,6 @@ class SuperMatching:
     def n(self) -> int:
         return self.base.n
 
-    def is_pure(self, i: int) -> bool:
-        return not (
-            i in self.wiggly
-            or i - 1 in self.wiggly
-            or i in self.dashed
-            or i - 1 in self.dashed
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, SuperMatching)
@@ -260,23 +254,25 @@ def enumerate_augmented(n: int) -> Iterator[SuperMatching]:
 
 def cr(k: int, pm: PerfectMatching) -> int:
     """Arches crossing the arch closed by k; zero unless k is a closer."""
-    j = pm.partner[k]
+    partner = pm.partner
+    j = partner[k]
     if j > k:
         return 0
-    return sum(1 for i in range(j + 1, k) if pm.partner[i] > k)
+    return len([p for p in partner[j + 1:k] if p > k])
 
 
 def ne(k: int, pm: PerfectMatching) -> int:
     """Arches nesting over the arch closed by k; zero unless k is a closer."""
-    j = pm.partner[k]
+    partner = pm.partner
+    j = partner[k]
     if j > k:
         return 0
-    return sum(1 for i in range(1, j) if pm.partner[i] > k)
+    return len([p for p in partner[1:j] if p > k])
 
 
 def qne(i: int, pm: PerfectMatching) -> int:
     """Arches strictly straddling vertex i."""
-    return sum(1 for j in range(1, i) if pm.partner[j] > i)
+    return len([p for p in pm.partner[1:i] if p > i])
 
 
 # -- weight families and master polynomials --------------------------------------------
@@ -313,17 +309,31 @@ def star(w: Callable[[int, int], Polynomial], m: int) -> Polynomial:
 
 
 def super_weight(sm: SuperMatching, w: IndexedWeights) -> Polynomial:
-    """Product of the per-vertex / per-edge weights of one decorated matching."""
-    pm = sm.base
-    weight = Polynomial.one()
-    for i in range(1, 2 * pm.n + 1):
-        if sm.is_pure(i):
-            weight = weight * (w.a(qne(i, pm)) if pm.is_opener(i) else w.b(cr(i, pm), ne(i, pm)))
-    for i in sm.wiggly:
-        weight = weight * w.f(cr(i, pm), ne(i, pm))
-    for i in sm.dashed:
-        weight = weight * w.g(cr(i + 1, pm), ne(i + 1, pm))
-    return weight
+    """Product of the per-vertex / per-edge weights of one decorated matching.
+
+    One left-to-right sweep keeps the openers of the open arches in
+    increasing order, so an opener's qne is the number of open arches, and
+    a closer's ne and cr are the open arches opened before and after its
+    opener.  A line replaces the pure weights of its two vertices: a wiggly
+    line (k, k+1) weighs f and a dashed line (k-1, k) weighs g, each at the
+    cr and ne of its closer k.
+    """
+    partner = sm.base.partner
+    wiggly, dashed = sm.wiggly, sm.dashed
+    opened: list[int] = []
+    factors = []
+    for i in range(1, len(partner)):
+        j = partner[i]
+        if j > i:
+            if i - 1 not in wiggly and i not in dashed:
+                factors.append(w.a(len(opened)))
+            opened.append(i)
+            continue
+        nestings = opened.index(j)
+        del opened[nestings]
+        weigh = w.f if i in wiggly else w.g if i - 1 in dashed else w.b
+        factors.append(weigh(len(opened) - nestings, nestings))
+    return Polynomial.product(factors)
 
 
 def master_poly_T(n: int, w: IndexedWeights) -> Polynomial:

@@ -259,14 +259,14 @@ def flajolet_weight(path, w: FlajoletWeights) -> Polynomial:
     SchroederPath."""
     weight = {RISE: w.rise, FALL: w.fall, "L": w.level, LL1: w.level, LL2: w.level2}
     steps = path.steps if isinstance(path, SchroederPath) else path
-    total = Polynomial.one()
+    factors = []
     h = 0
     for s in steps:
         if s is None:
             continue
-        total = total * weight[s](h)
+        factors.append(weight[s](h))
         h += _HEIGHT_CHANGE[s]
-    return total
+    return Polynomial.product(factors)
 
 
 def flajolet_check(order: int, w: FlajoletWeights) -> bool:

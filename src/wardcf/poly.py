@@ -31,9 +31,11 @@ guard bits, and the Hankel scan re-encodes the Monomials it reads.
 
 ``_add_product`` multiplies and adds the numerators of two term maps into
 an accumulator.  A ``Polynomial`` product divides it by the product of the
-two denominators.  A ``Series`` product or reciprocal first brings each
-operand's coefficients over the lcm of their stored denominators
-(``Polynomial._scaled``; an integer series is neither scaled nor copied).
+two denominators; ``Polynomial.product`` chains it over many factors,
+checks the guard bits at every step and divides once at the end.  A
+``Series`` product or reciprocal first brings each operand's coefficients
+over the lcm of their stored denominators (``Polynomial._scaled``; an
+integer series is neither scaled nor copied).
 ``compose``, ``compositional_inverse`` and ``substitute`` run on the same
 products.
 
@@ -540,6 +542,25 @@ class Polynomial:
                 out[k] = get(k, 0) + c
         return _lowest(out, den)
 
+    @classmethod
+    def product(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
+        """Multiply many polynomials through one chain of accumulators: each
+        factor's numerators are multiplied into a fresh dict by
+        ``_add_product`` and its guard bits checked, and the product of the
+        denominators is divided out by one ``_lowest`` at the end.  The
+        empty product is 1."""
+        acc: dict[int, int] = {0: 1}
+        den = 1
+        for p in polys:
+            out: dict[int, int] = {}
+            _add_product(out, acc, p.terms)
+            _SLOTS.check(out)
+            if not all(out.values()):  # keep cancelled keys out of later steps
+                out = {k: c for k, c in out.items() if c}
+            acc = out
+            den *= p.den
+        return _lowest(acc, den)
+
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             if not isinstance(other, (int, Fraction)):
@@ -549,7 +570,11 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.den, frozenset(self.terms.items())))
+            terms = self.terms
+            if terms.keys() <= {0}:  # a constant equals its int or Fraction, so hashes as it
+                self._hash = hash(_ratio(terms.get(0, 0), self.den))
+            else:
+                self._hash = hash((self.den, frozenset(terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -886,7 +911,7 @@ class Series:
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); requires inner to have zero constant term."""
-        self._check_order(inner)
+        self._check_order(_checked(inner, (Series,), "composition operand"))
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition needs zero constant term")
         result = Series.zero(self.order)

@@ -1,5 +1,7 @@
 import math
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -328,6 +330,51 @@ def test_master_poly_T_without_lines_matches_sfraction():
     s = expand_S(alpha, 4)
     for n in range(5):
         assert master_poly_T(n, w) == s.coefficient(n)
+
+
+def brute_super_weight(sm, w):
+    """Reference for super_weight: pure vertices found by probing the line
+    sets, the definitional cr, ne and qne, and one product per factor."""
+    pm = sm.base
+
+    def is_pure(i):
+        return not (
+            i in sm.wiggly or i - 1 in sm.wiggly or i in sm.dashed or i - 1 in sm.dashed
+        )
+
+    weight = Polynomial.one()
+    for i in range(1, 2 * pm.n + 1):
+        if is_pure(i):
+            weight = weight * (w.a(qne(i, pm)) if pm.is_opener(i) else w.b(cr(i, pm), ne(i, pm)))
+    for i in sm.wiggly:
+        weight = weight * w.f(cr(i, pm), ne(i, pm))
+    for i in sm.dashed:
+        weight = weight * w.g(cr(i + 1, pm), ne(i + 1, pm))
+    return weight
+
+
+def rational_weights():
+    """Non-monomial weights with Fraction coefficients, none symmetric in
+    (crossings, nestings), so a swap of the two changes a product."""
+    x, y = var("x"), var("y")
+    return IndexedWeights(
+        a=lambda l: x + Fraction(1, l + 2),
+        b=lambda l, lp: Fraction(l + 1, lp + 2) * y + l + 1,
+        f=lambda l, lp: Fraction(1, 3) * x * y**l + lp,
+        g=lambda l, lp: x**lp - Fraction(l + 2, 5) * y,
+    )
+
+
+@pytest.mark.parametrize("weights", [IndexedWeights.symbolic, rational_weights],
+                         ids=["symbolic", "rational"])
+def test_super_weight_matches_per_vertex_reference(weights):
+    # The fractions read b, f and g only through anti-diagonal sums, so no
+    # sum over all decorated matchings tells crossings from nestings; this
+    # compares each decorated matching's own product.
+    w = IndexedWeights(*map(lru_cache(maxsize=None), weights()))
+    for n in range(6):
+        for sm in enumerate_super(n):
+            assert super_weight(sm, w) == brute_super_weight(sm, w), format_matching(sm)
 
 
 # -- 18- and 12-variable specializations ----------------------------------------------------

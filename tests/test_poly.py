@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardcf.hankel import hankel_section
+from wardcf.matchings import IndexedWeights, parse_matching, super_weight
 from wardcf.poly import (
     MAX_EXPONENT,
     Monomial,
@@ -224,6 +226,13 @@ def test_series_operators_reject_other_operands(op, other):
         op(s, other)
     with pytest.raises(TypeError, match="unsupported operand"):
         op(other, s)
+
+
+@pytest.mark.parametrize("other", [2, Fraction(1, 2), x])
+def test_compose_rejects_other_operands(other):
+    kind = type(other).__name__
+    with pytest.raises(TypeError, match=f"composition operand must be Series, not {kind}$"):
+        Series(1, [0, 1]).compose(other)
 
 
 def test_series_rejects_a_negative_order():
@@ -607,6 +616,44 @@ def test_one_term_integer_product_makes_few_python_calls():
     assert calls[0] == "__mul__" and len(calls) <= 5, calls
 
 
+@given(st.lists(colliding_polys(st.one_of(*COEFF_KINDS)), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_product_matches_pairwise_products(polys):
+    expected = reduce(operator.mul, polys, Polynomial.one())
+    assert Polynomial.product(polys) == expected
+    assert Polynomial.product(iter(polys)) == expected
+    assert Polynomial.product(polys + [Polynomial.zero()]) == 0
+
+
+def test_product_examples():
+    assert Polynomial.product([]) == 1
+    half = Polynomial.const(Fraction(1, 2))
+    assert Polynomial.product([x + y, x - y, half]) == (x**2 - y**2) * Fraction(1, 2)
+    assert Polynomial.product([Fraction(2, 3) * x, Polynomial.zero(), y]) == 0
+    whole = Polynomial.product([Fraction(1, 2) * x, 2 * y])
+    assert (whole.terms, whole.den) == ((x * y).terms, 1)
+
+
+def test_super_weight_makes_one_product_and_no_pairwise_products():
+    sm = parse_matching("pairs=(1,4)(2,8)(3,5)(6,12)(7,11)(9,10); wiggly={5}; dashed={3,9}")
+    w = IndexedWeights.symbolic()
+    codes = {Polynomial.product.__func__.__code__: "product",
+             Polynomial.__mul__.__code__: "__mul__"}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        weight = super_weight(sm, w)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["product"]
+    assert len(weight.terms) == 1 and weight.den == 1
+
+
 def test_fused_products_keep_integral_coefficients_int():
     half = Series(2, [1, Fraction(1, 2), 0]) * Series(2, [1, 2, 0])
     assert half == Series(2, [1, Fraction(5, 2), 1])
@@ -708,6 +755,14 @@ def test_equal_rationals_built_two_ways_are_equal_and_hash_equal():
     assert half != x
 
 
+@pytest.mark.parametrize("value", [3, -7, 0, Fraction(5, 3), Fraction(-1, 2)])
+def test_constants_hash_as_the_numbers_they_equal(value):
+    for p in (Polynomial.const(value), (x + value) - x):
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+    assert x != value and len({x, value}) == 2
+
+
 def test_bool_coefficients_are_stored_as_int_numerators():
     for p in (Polynomial.const(True), Polynomial({Monomial(): True})):
         assert p == 1 and p.terms == {0: 1} and p.den == 1
@@ -770,6 +825,13 @@ def test_exponent_limit_in_products():
     # the overflow of one variable's slot never reaches its neighbour's
     with pytest.raises(OverflowError):
         (top * y) * (x * y)
+    # a chained product checks every step: x^40000 sets x's guard bit, and a
+    # further x^30000 would carry into the next slot and clear that bit again
+    with pytest.raises(OverflowError):
+        Polynomial.product([x**20000, x**20000, x**30000])
+    with pytest.raises(OverflowError):
+        Polynomial.product([y, top + z, 1 - x])
+    assert Polynomial.product([top, y, z]) == top * y * z
     # Series products and reciprocals check each accumulated sum of products
     with pytest.raises(OverflowError):
         Series(1, [top, 0]) * Series(1, [x, 0])
