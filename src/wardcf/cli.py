@@ -264,9 +264,14 @@ def _suite_bijection_phylo(n: int) -> SuiteResult:
 
 
 def _suite_lemma42(n: int) -> SuiteResult:
+    # enumerate_super yields the decorations of each base matching in a
+    # row, and they all share its statistics: one table per base.
     for m in range(n + 1):
+        base = table = None
         for sm in matchings.enumerate_super(m):
-            if not paths.verify_statistics(sm):
+            if sm.base is not base:
+                base, table = sm.base, paths.statistics_table(sm.base)
+            if not paths.verify_statistics(sm, table):
                 return False, f"statistic translation failed: {matchings.format_matching(sm)}"
     return True, f"per-vertex statistic translation verified for n <= {n}"
 

@@ -32,9 +32,11 @@ binomial transform.  The brute sums over enumerate_super /
 enumerate_augmented are their references in the tests.  master_poly_T
 sums super_weight over the enumeration, one sweep per decorated matching:
 super_weight reads every statistic off one left-to-right pass and
-multiplies its factors by one ``Polynomial.product``.  The fractions these
-counts are checked against are stated in ``contfrac``; this module
-imports nothing of the package but ``poly``.
+multiplies its factors by one ``Polynomial.product``, which adds the keys
+of one-term factors (each symbolic weight is one) without building a
+dict per factor.  The fractions these counts are checked against are
+stated in ``contfrac``; this module imports nothing of the package but
+``poly``.
 """
 
 from __future__ import annotations
@@ -316,7 +318,8 @@ def super_weight(sm: SuperMatching, w: IndexedWeights) -> Polynomial:
     a closer's ne and cr are the open arches opened before and after its
     opener.  A line replaces the pure weights of its two vertices: a wiggly
     line (k, k+1) weighs f and a dashed line (k-1, k) weighs g, each at the
-    cr and ne of its closer k.
+    cr and ne of its closer k.  The factors are multiplied by one
+    ``Polynomial.product``: a sum of keys while they have one term each.
     """
     partner = sm.base.partner
     wiggly, dashed = sm.wiggly, sm.dashed

@@ -406,14 +406,32 @@ def verify_heights(sm: SuperMatching, path: SchroederPath) -> bool:
     )
 
 
-def verify_statistics(sm: SuperMatching) -> bool:
-    """Check the statistic translation along the bijection.
+def statistics_table(pm: PerfectMatching) -> tuple[tuple[int, int, int], ...]:
+    """(qne(i), cr(i), ne(i)) for each vertex i = 1..2n of pm, at entry
+    i - 1, from their definitions in ``matchings``.  A decorated matching's
+    statistics are those of its base, so one table serves every
+    decoration of pm."""
+    return tuple(
+        (matchings.qne(i, pm), matchings.cr(i, pm), matchings.ne(i, pm))
+        for i in range(1, 2 * pm.n + 1)
+    )
+
+
+def verify_statistics(
+    sm: SuperMatching, table: Optional[tuple[tuple[int, int, int], ...]] = None
+) -> bool:
+    """Check the statistic translation along the bijection, against table,
+    the ``statistics_table`` of sm's base (computed here when None).
 
     Pure openers: qne(i) = h_{i-1}.  Pure closers and wiggly pairs:
     cr(i) = h_{i-1} - label, ne(i) = label - 1.  Dashed pairs:
     cr(i+1) = h_{i-1} + 1 - label, ne(i+1) = label - 1.
     """
     pm = sm.base
+    if table is None:
+        table = statistics_table(pm)
+    elif len(table) != 2 * pm.n:
+        raise ValueError(f"a table of {len(table)} vertices for a matching of {2 * pm.n}")
     lp = matching_to_path(sm)
     heights = lp.path.heights
     for i in range(1, 2 * pm.n + 1):
@@ -423,13 +441,13 @@ def verify_statistics(sm: SuperMatching) -> bool:
         h = heights[i - 1]
         xi = lp.labels[i - 1]
         if s == RISE:
-            if matchings.qne(i, pm) != h:
+            if table[i - 1][0] != h:
                 return False
         elif s in (FALL, LL1):
-            if matchings.cr(i, pm) != h - xi or matchings.ne(i, pm) != xi - 1:
+            if table[i - 1][1:] != (h - xi, xi - 1):
                 return False
         else:
-            if matchings.cr(i + 1, pm) != h + 1 - xi or matchings.ne(i + 1, pm) != xi - 1:
+            if table[i][1:] != (h + 1 - xi, xi - 1):
                 return False
     return True
 

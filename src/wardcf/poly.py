@@ -31,8 +31,11 @@ guard bits, and the Hankel scan re-encodes the Monomials it reads.
 
 ``_add_product`` multiplies and adds the numerators of two term maps into
 an accumulator.  A ``Polynomial`` product divides it by the product of the
-two denominators; ``Polynomial.product`` chains it over many factors,
-checks the guard bits at every step and divides once at the end.  A
+two denominators.  ``Polynomial.product`` keeps a run of one-term factors
+as one running term, a sum of keys and a product of numerators, and
+chains ``_add_product`` over the factors from the first one with zero or
+several terms on; it checks the guard bits after every factor and
+divides once at the end.  A
 ``Series`` product or reciprocal first brings each operand's coefficients
 over the lcm of their stored denominators (``Polynomial._scaled``; an
 integer series is neither scaled nor copied).
@@ -51,7 +54,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import getitem, or_
 from typing import Callable, Iterable, Iterator, Mapping, Union
@@ -316,9 +319,10 @@ class _SlotRegistry:
         exps = _exponents(key, _nbytes(key))
         return Monomial((self.variables[i], e) for i, e in enumerate(exps) if e)
 
-    def check(self, terms: dict) -> None:
-        """Raise OverflowError if a key of the product terms set a guard bit."""
-        if reduce(or_, terms, 0) & self.guards:
+    def check(self, keys: Iterable[int]) -> None:
+        """Raise OverflowError if one of the keys of a product (a term map,
+        or any iterable of keys) set a guard bit."""
+        if reduce(or_, keys, 0) & self.guards:
             raise OverflowError(f"a product has an exponent above {MAX_EXPONENT}")
 
 
@@ -525,14 +529,18 @@ class Polynomial:
         return p
 
     @classmethod
-    def sum(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
+    def sum(cls, polys: Iterable["Polynomial | Rat"]) -> "Polynomial":
         """Sum many polynomials with a single accumulator dict, over the lcm
         of the denominators seen so far: a new denominator rescales the
-        accumulator, so polys is read once and never listed."""
+        accumulator, so polys is read once and never listed.  int and
+        Fraction items count as constants, as in ``+``; any other item
+        raises TypeError."""
         out: dict[int, int] = {}
         get = out.get
         den = 1
         for p in polys:
+            if not isinstance(p, Polynomial):
+                p = cls._coerce_or_raise(p)
             if den % p.den:
                 scale = p.den // gcd(den, p.den)
                 for k, c in out.items():
@@ -543,15 +551,37 @@ class Polynomial:
         return _lowest(out, den)
 
     @classmethod
-    def product(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
-        """Multiply many polynomials through one chain of accumulators: each
+    def product(cls, polys: Iterable["Polynomial | Rat"]) -> "Polynomial":
+        """Multiply many polynomials, dividing by the product of their
+        denominators once, in one ``_lowest`` at the end.  The empty product
+        is 1; int and Fraction items count as constants, as in ``*``, and
+        any other item raises TypeError.
+
+        While every factor so far has one term, the running product is one
+        term too: its key is the sum of the factors' keys, with the guard
+        bits checked after each addition, and its numerator the product of
+        theirs.  From the first factor with zero or several terms on, each
         factor's numerators are multiplied into a fresh dict by
-        ``_add_product`` and its guard bits checked, and the product of the
-        denominators is divided out by one ``_lowest`` at the end.  The
-        empty product is 1."""
-        acc: dict[int, int] = {0: 1}
-        den = 1
+        ``_add_product`` and its guard bits checked."""
+        key, num, den = 0, 1, 1
+        polys = iter(polys)
         for p in polys:
+            if not isinstance(p, Polynomial):
+                p = cls._coerce_or_raise(p)
+            if len(p.terms) != 1:
+                break
+            ((k, c),) = p.terms.items()
+            key += k
+            if key & _SLOTS.guards:
+                _SLOTS.check((key,))  # raises the product's OverflowError
+            num *= c
+            den *= p.den
+        else:
+            return _lowest({key: num}, den)
+        acc = {key: num}
+        for p in chain((p,), polys):
+            if not isinstance(p, Polynomial):
+                p = cls._coerce_or_raise(p)
             out: dict[int, int] = {}
             _add_product(out, acc, p.terms)
             _SLOTS.check(out)

@@ -1,12 +1,18 @@
+from itertools import groupby
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wardcf import matchings
+from wardcf.cli import run
 from wardcf.contfrac import TCoeffs, expand_T, named_family
 from wardcf.matchings import (
     IndexedWeights,
     PerfectMatching,
     SuperMatching,
+    enumerate_matchings,
     enumerate_super,
     master_poly_T,
     super_weight,
@@ -27,6 +33,7 @@ from wardcf.paths import (
     parse_path,
     path_to_matching,
     satisfies_bounds,
+    statistics_table,
     verify_heights,
     verify_statistics,
 )
@@ -295,6 +302,45 @@ def test_verify_heights_and_statistics():
     assert not verify_heights(in_a_row, matching_to_path(nested).path)
     # A shorter path is not the matching's, though its heights fit a prefix.
     assert not verify_heights(in_a_row, matching_to_path(bare).path)
+
+
+def test_statistics_table_serves_every_decoration_of_its_base():
+    for n in range(5):
+        for pm, decorations in groupby(enumerate_super(n), key=lambda sm: sm.base):
+            table = statistics_table(pm)
+            assert len(table) == 2 * n
+            for sm in decorations:
+                assert verify_statistics(sm, table) is verify_statistics(sm) is True
+
+
+def test_statistics_table_of_another_base_fails():
+    for n in range(2, 4):
+        bases = list(enumerate_matchings(n))
+        for pm in bases:
+            decorations = [sm for sm in enumerate_super(n) if sm.base == pm]
+            for other in bases:
+                if other != pm:
+                    table = statistics_table(other)
+                    assert not all(verify_statistics(sm, table) for sm in decorations)
+    with pytest.raises(ValueError, match="a table of 2 vertices for a matching of 12"):
+        verify_statistics(EXAMPLE, statistics_table(PerfectMatching.from_pairs([(1, 2)])))
+
+
+def test_lemma42_takes_the_statistics_once_per_base(monkeypatch, capsys):
+    # One table per base matching asks qne at most once per vertex; asking
+    # it per decorated matching would be many times more.
+    calls = []
+    real = matchings.qne
+
+    def counted(i, pm):
+        calls.append(i)
+        return real(i, pm)
+
+    monkeypatch.setattr(matchings, "qne", counted)
+    assert run(["verify", "--suite", "lemma4.2", "--n", "4"]) == 0
+    assert capsys.readouterr().out.startswith("PASS: lemma4.2: ")
+    bound = sum(prod(range(1, 2 * m, 2)) * (2 * m + 1) for m in range(5))
+    assert 0 < len(calls) <= bound == 1069
 
 
 def test_statistics_on_example_vertex_8():

@@ -634,6 +634,97 @@ def test_product_examples():
     assert (whole.terms, whole.den) == ((x * y).terms, 1)
 
 
+def python_calls(run):
+    """The names of the Python-level functions that run() enters."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_one_term_factors_make_no_python_call_per_factor():
+    factors = [3 * x, Fraction(1, 2) * y, -z]
+    few = python_calls(lambda: Polynomial.product(factors))
+    many = python_calls(lambda: Polynomial.product(factors * 10))
+    assert few == many and len(few) <= 4, few
+
+
+def test_product_checks_the_guard_bits_after_every_factor():
+    # 3 * 32767 carries into the next slot and leaves the guard bit clear,
+    # so a check made only once at the end would miss it.
+    big = x**MAX_EXPONENT
+    assert 3 * MAX_EXPONENT & (1 << 15) == 0
+    with pytest.raises(OverflowError):
+        Polynomial.product([big] * 3)
+    with pytest.raises(OverflowError):
+        Polynomial.product([y + 1] + [big] * 3)
+    with pytest.raises(OverflowError):
+        Polynomial.product([2 * y, y - z] + [big] * 3)
+    assert Polynomial.product([x ** (MAX_EXPONENT - 1), y + 1, x]) == big * y + big
+
+
+@pytest.mark.parametrize("method, op, unit", [(Polynomial.sum, operator.add, Polynomial.zero()),
+                                              (Polynomial.product, operator.mul, Polynomial.one())])
+def test_sum_and_product_take_int_and_fraction_items(method, op, unit):
+    for items in ([x, 2], [Fraction(1, 3), x + y], [x - y, Fraction(-5, 2), 3], [2, 3]):
+        expected = reduce(op, items, unit)
+        got = method(items)
+        assert (got.terms, got.den) == (expected.terms, expected.den)
+
+
+@pytest.mark.parametrize("method", [Polynomial.sum, Polynomial.product])
+@pytest.mark.parametrize("before", [[], [x], [x + y]])
+@pytest.mark.parametrize("item", [1.5, "x", None, Series(0, [1])])
+def test_sum_and_product_reject_other_items(method, before, item):
+    with pytest.raises(TypeError, match="a polynomial value must be"):
+        method(before + [item])
+
+
+def test_polynomial_items_are_not_coerced():
+    items = [x + y, 2 * x, y]
+    for method in (Polynomial.sum, Polynomial.product):
+        calls = python_calls(lambda: method(items))
+        assert "_coerce_or_raise" not in calls and "_coerce" not in calls, calls
+
+
+ONE_TERM_COEFFS = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from(COPRIME_DENOMINATORS)),
+)
+
+
+@st.composite
+def mostly_one_term_factors(draw):
+    """Factors with one term each (a zero coefficient makes the zero
+    polynomial), and at most one factor of several terms at a random place."""
+    def one_term():
+        names = draw(st.lists(st.sampled_from(VARS), unique=True, max_size=3))
+        exps = [(v, draw(st.integers(1, 3))) for v in names]
+        return Polynomial({Monomial(exps): draw(ONE_TERM_COEFFS)})
+
+    factors = [one_term() for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.booleans()):
+        several = draw(colliding_polys(COEFF_KINDS[2]).filter(lambda p: len(p.terms) > 1))
+        factors.insert(draw(st.integers(0, len(factors))), several)
+    return factors
+
+
+@given(mostly_one_term_factors())
+@settings(max_examples=200, deadline=None)
+def test_product_of_mostly_one_term_factors_matches_pairwise_products(factors):
+    expected = reduce(operator.mul, factors, Polynomial.one())
+    got = Polynomial.product(factors)
+    assert (got.terms, got.den) == (expected.terms, expected.den)
+
+
 def test_super_weight_makes_one_product_and_no_pairwise_products():
     sm = parse_matching("pairs=(1,4)(2,8)(3,5)(6,12)(7,11)(9,10); wiggly={5}; dashed={3,9}")
     w = IndexedWeights.symbolic()
