@@ -25,9 +25,18 @@ decoded back into a Polynomial.
 
 The scan goes level by level (``_minors``, which also computes W's
 permanents on ints): the r x r minors are expanded along their first row
-into the (r-1) x (r-1) minors, which are then dropped.  A Hankel section
-is symmetric, so each level keeps only the pairs with rows <= cols.  Each
-minor is summed in a dict and, once finished, kept as two parallel
+into the (r-1) x (r-1) minors, which are then dropped.  An entry depends
+only on i + j, so the pairs (rows - s, cols + s), for every shift s that
+keeps both subsets within 0..m-1, and their transposes (cols, rows) all
+have the same minor.  The walk expands only the lexicographically first
+pair of each such class, which has rows <= cols; every other pair with
+rows <= cols takes the minor of an earlier pair of its class:
+(rows - s, cols + s) with s = min(rows[0], m-1-cols[-1]) when s > 0, else
+(cols - t, rows + t) with t = min(cols[0], m-1-rows[-1]), either way round,
+when t > 0 and that pair comes first; a pair with neither is its class's
+first.  The scan order reaches every class at its first pair, so the
+first offending pair is the one an expansion of every pair would find.
+Each minor is summed in a dict and, once finished, kept as two parallel
 columns of keys and ints (``_store``): an ``array('q')`` of 8 bytes a
 value when every value fits in a signed 64-bit word, a tuple otherwise.
 The tests hold the references it is checked against: cofactor expansion,
@@ -171,36 +180,59 @@ def _add_product(acc: dict[int, Rat], a: dict[int, Rat], b: _Stored, sign: int) 
 
 
 def _minors(m: int, r_max: int, expand: Callable[[list], object], unit: object) -> Iterator[tuple]:
-    """Every r x r minor with r <= r_max of an m x m Hankel section, as
-    (r, rows, cols, minor), only the pairs with rows <= cols, in the order
-    r, then rows, then cols, each lexicographic.
+    """One r x r minor with r <= r_max of an m x m Hankel section per class
+    of pairs with the same minor, as (r, rows, cols, minor): the class's
+    lexicographically first pair, which has rows <= cols, in the order r,
+    then rows, then cols, each lexicographic.
 
     The minor is expand(terms), its expansion along its first row: one
     term (sign, i + j, minor without row i and column j) for each column j
-    in cols, i the first row, with unit the 0 x 0 minor.  Level r is
-    expanded from level r - 1 alone, and at most these two levels are held.
+    in cols, i the first row, with unit the 0 x 0 minor.  Every other pair
+    holds the minor of an earlier pair of its class (see the module
+    docstring).  Subsets are numbered by their lexicographic rank within a
+    level, and a level is the table of its pairs' minors by rank, filled on
+    both sides of the diagonal.  Level r is expanded from level r - 1
+    alone, and at most these two levels are held.
     """
-    previous = {((), ()): unit}
+    previous, previous_rank = [[unit]], {(): 0}
     for r in range(1, r_max + 1):
         subsets = list(combinations(range(m), r))
-        level = {}
+        rank = {s: k for k, s in enumerate(subsets)}
+        # Per subset: (sign, column, rank without that column) for each
+        # column, and the ranks of the subset moved down or up by 0, 1, ...
+        drops = [
+            [(-1 if idx % 2 else 1, col, previous_rank[s[:idx] + s[idx + 1 :]]) for idx, col in enumerate(s)]
+            for s in subsets
+        ]
+        lower = [[rank[tuple(c - d for c in s)] for d in range(s[0] + 1)] for s in subsets]
+        higher = [[rank[tuple(c + d for c in s)] for d in range(m - s[-1])] for s in subsets]
+        level = [[None] * len(subsets) for _ in subsets]
         for i, rows in enumerate(subsets):
-            first, rest = rows[0], rows[1:]
-            for cols in subsets[i:]:
-                terms = []
-                for idx, col in enumerate(cols):
-                    sub = cols[:idx] + cols[idx + 1 :]
-                    below = previous[(rest, sub) if rest <= sub else (sub, rest)]
-                    terms.append((-1 if idx % 2 else 1, first + col, below))
-                minor = expand(terms)
-                yield r, rows, cols, minor
-                level[rows, cols] = minor
-        previous = level
+            first, room = rows[0], m - 1 - rows[-1]
+            below = previous[previous_rank[rows[1:]]]
+            for j in range(i, len(subsets)):
+                cols = subsets[j]
+                s = min(first, m - 1 - cols[-1])
+                t = min(cols[0], room)
+                # The transposed pair (cols - t, rows + t), either way
+                # round, comes first exactly when its smaller subset ranks
+                # below rows: at rank i it would be (rows, cols) itself.
+                if s:
+                    minor = level[lower[i][s]][higher[j][s]]
+                elif t and min(lower[j][t], higher[i][t]) < i:
+                    minor = level[lower[j][t]][higher[i][t]]
+                else:
+                    minor = expand([(sign, first + col, below[k]) for sign, col, k in drops[j]])
+                    yield r, rows, cols, minor
+                level[i][j] = level[j][i] = minor
+        previous, previous_rank = level, rank
 
 
 def _largest_permanent(norms: list[int], m: int, r_max: int) -> int:
     """The largest permanent of the matrix norms[i + j] over rows R and
-    columns C, for every r x r pair with r <= r_max.
+    columns C, for every r x r pair with r <= r_max.  A permanent, like a
+    minor, is the same for every pair of a class, so ``_minors`` covers
+    every pair.
 
     With norms the l1 norms of the moments, it bounds the absolute value
     of every coefficient of every minor the scan computes.

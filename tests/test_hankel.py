@@ -335,6 +335,67 @@ def test_level_scan_matches_memoized_scan(case):
         assert all_minors_nonneg(h, r_max) == memoized_minors_nonneg(h, r_max)
 
 
+def hankel_class(m, rows, cols):
+    """Every pair with the minor of (rows, cols) by Hankel symmetry alone:
+    each shift (rows - s, cols + s) that stays within 0..m-1, and the
+    transposes of those."""
+    members = set()
+    for a, b in ((rows, cols), (cols, rows)):
+        for s in range(-m, m):
+            pair = tuple(i - s for i in a), tuple(j + s for j in b)
+            if all(0 <= k < m for k in pair[0] + pair[1]):
+                members.add(pair)
+    return members
+
+
+@pytest.mark.parametrize(
+    "m, classes", [(1, 1), (2, 4), (3, 12), (4, 36), (5, 114), (6, 383), (7, 1349)]
+)
+def test_walk_expands_one_pair_per_class(m, classes):
+    expanded = []
+
+    def counting_expand(terms):
+        expanded.append(terms)
+        return len(expanded)
+
+    walked = list(hankel._minors(m, m, counting_expand, 0))
+    brute = {
+        min(hankel_class(m, rows, cols))
+        for r in range(1, m + 1)
+        for rows in combinations(range(m), r)
+        for cols in combinations(range(m), r)
+    }
+    assert len(expanded) == len(brute) == classes
+    assert [(rows, cols) for _, rows, cols, _ in walked] == sorted(brute, key=lambda p: (len(p[0]), p))
+    assert [minor for *_, minor in walked] == list(range(1, classes + 1))
+
+
+@pytest.mark.parametrize(
+    "seq, m, first",
+    [
+        # Catalan numbers with P_4 = 17 for 14: P_2 P_5 - P_3 P_4 = -1.
+        (const_seq([1, 1, 2, 5, 17, 42, 132, 429, 1430]), 5, ((0, 1), (2, 4))),
+        (lambda n: ward_sequence(n) + (28 * x if n == 6 else 0), 6, ((0, 2), (4, 5))),
+        (lambda n: e2_reversed_sequence(n) + (3 * x**4 if n == 5 else 0), 5, ((0, 2), (3, 4))),
+    ],
+    ids=["catalan", "ward", "eulerian2-reversed"],
+)
+def test_counterexample_class_reached_by_shift_and_transpose(seq, m, first):
+    # The first negative minor's class has a later member that is a shift
+    # within rows <= cols and one that only its transpose maps back; the
+    # walk reports the class's first pair, as the full scan does.
+    h = hankel_section(seq, m)
+    members = sorted(p for p in hankel_class(m, *first) if p[0] <= p[1])
+    assert members[0] == first
+    assert any(rows[0] > 0 and cols[-1] < m - 1 for rows, cols in members)
+    assert any(rows[0] == 0 or cols[-1] == m - 1 for rows, cols in members[1:])
+    for r_max in range(1, m + 1):
+        expected = memoized_minors_nonneg(h, r_max)
+        assert all_minors_nonneg(h, r_max) == expected
+        if r_max >= len(first[0]):
+            assert expected[0] is False and expected[1][:2] == first
+
+
 # The scan stores a finished minor's keys and coefficients as array('q')
 # columns when they fit in a signed 64-bit word and as tuples otherwise.
 BOUNDARY = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1]
@@ -398,7 +459,7 @@ def test_minor_at_the_64_bit_bounds(t):
 
 def test_scan_memory_stays_packed():
     # A finished minor is kept as packed columns, not a dict of boxed ints:
-    # this scan peaks at 0.45 MB traced, and at 0.75 MB on dicts, once the
+    # this scan peaks at 0.44 MB traced, and at 0.75 MB on dicts, once the
     # process is warm (Python 3.11).
     h = hankel_section(generalized_ward_sequence, 5)
     tracemalloc.start()
