@@ -99,12 +99,9 @@ def _check_section(h: HankelSection) -> None:
 
 
 def _slot_tops(width: int, slots: int) -> int:
-    """The int whose slots 0..slots-1, each width bits, have their top bit set."""
-    tops, filled = 1 << width - 1, 1
-    while filled < slots:
-        tops |= tops << width * filled
-        filled *= 2
-    return tops & (1 << width * slots) - 1
+    """The int whose slots 0..slots-1, each width bits, have their top bit set:
+    the base-2^width repunit, shifted up width - 1 bits."""
+    return ((1 << width * slots) - 1) // ((1 << width) - 1) << width - 1
 
 
 def _pack(items: list[tuple[Monomial, Rat]], layout: _Layout) -> dict[int, int]:

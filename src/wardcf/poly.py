@@ -39,8 +39,8 @@ divides once at the end.  A
 ``Series`` product or reciprocal first brings each operand's coefficients
 over the lcm of their stored denominators (``Polynomial._scaled``; an
 integer series is neither scaled nor copied).
-``compose``, ``compositional_inverse`` and ``substitute`` run on the same
-products.
+``compose`` and ``compositional_inverse`` run on the same products, and
+``substitute`` multiplies each term's factors in one ``Polynomial.product``.
 
 Series are truncated at an explicit order; operations on mismatched orders
 raise rather than silently truncating.  The variable ``t`` is reserved for
@@ -650,20 +650,13 @@ class Polynomial:
     # -- algebra helpers -----------------------------------------------------
 
     def substitute(self, bindings: Mapping[VarId, "Polynomial | Rat"]) -> "Polynomial":
-        """Ring-homomorphic image; unbound variables pass through."""
+        """Ring-homomorphic image; unbound variables pass through.  Each term
+        is one ``Polynomial.product``: its bound variables' memoized image
+        powers in VarId order, then its unbound monomial and coefficient."""
         if not bindings:
             return self
         images = {v: Polynomial._coerce_or_raise(p) for v, p in bindings.items()}
         powers: dict[tuple[VarId, int], Polynomial] = {}
-
-        def power(v: VarId, e: int) -> Polynomial:
-            key = (v, e)
-            got = powers.get(key)
-            if got is None:
-                got = images[v] ** e
-                powers[key] = got
-            return got
-
         # The bound variables that have a slot, in VarId order: a term's
         # factors are multiplied in this order.
         bound = sorted(
@@ -673,16 +666,16 @@ class Polynomial:
         )
         pieces = []
         for key, c in self.terms.items():
-            factor = _lowest({0: c}, self.den)
-            rest = key
+            factors = []
             for v, shift, unit in bound:
                 e = (key >> shift) & MAX_EXPONENT
                 if e:
-                    factor = factor * power(v, e)
-                    rest -= e * unit
-            if rest:
-                factor = factor * Polynomial._raw({rest: 1})
-            pieces.append(factor)
+                    if (v, e) not in powers:
+                        powers[v, e] = images[v] ** e
+                    factors.append(powers[v, e])
+                    key -= e * unit
+            factors.append(_lowest({key: c}, self.den))
+            pieces.append(Polynomial.product(factors))
         return Polynomial.sum(pieces)
 
     def _strip(self, v: VarId) -> tuple[int, list[tuple[int, int, int]]]:

@@ -226,14 +226,11 @@ def multivariate_ward(n: int) -> Polynomial:
     with i+1 children contributes x[i]."""
     if n < 0:
         raise ValueError(f"size must be at least 0, got {n}")
-    total = Polynomial.zero()
-    for k in range(n + 1):
-        for tree in enumerate_phylo(n, k):
-            term = Polynomial.one()
-            for size in tree.child_sizes():
-                term = term * var("x", size - 1)
-            total = total + term
-    return total
+    return Polynomial.sum(
+        Polynomial.product(var("x", size - 1) for size in tree.child_sizes())
+        for k in range(n + 1)
+        for tree in enumerate_phylo(n, k)
+    )
 
 
 # -- intermediate structures of the bijection --------------------------------------------

@@ -194,10 +194,7 @@ def closed_form_u_eq_x(m: int) -> Polynomial:
     x, z, w = var("x"), var("z"), var("w")
     sign = 1 if (m + 1) % 2 == 0 else -1
     lead = sign * factorial(m) * z**m
-    prod = Polynomial.one()
-    for j in range(1, m + 1):
-        prod = prod * (w - j * z)
-    bracket = lead + prod  # divisible by w
+    bracket = lead + Polynomial.product(w - j * z for j in range(1, m + 1))  # divisible by w
     return lead + x * bracket.div_var(W)
 
 

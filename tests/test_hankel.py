@@ -15,6 +15,7 @@ from wardcf.hankel import (
     _add_product,
     _pack,
     _packed_section,
+    _slot_tops,
     _store,
     _unpack,
     all_minors_nonneg,
@@ -553,6 +554,21 @@ def test_pack_store_unpack_round_trip(case):
     if p == WIDE_KEY:
         assert max(stored[0]) >= 2**64
     assert _unpack(stored, layout, 1) == p
+
+
+def slot_tops_by_doubling(width, slots):
+    """The top bit of each slot, set by doubling the filled slots."""
+    tops, filled = 1 << width - 1, 1
+    while filled < slots:
+        tops |= tops << width * filled
+        filled *= 2
+    return tops & (1 << width * slots) - 1
+
+
+def test_slot_tops_matches_the_doubling_loop():
+    for width in range(1, 80):
+        for slots in range(70):
+            assert _slot_tops(width, slots) == slot_tops_by_doubling(width, slots), (width, slots)
 
 
 @st.composite

@@ -745,6 +745,82 @@ def test_super_weight_makes_one_product_and_no_pairwise_products():
     assert len(weight.terms) == 1 and weight.den == 1
 
 
+def test_substitute_makes_one_product_per_term_and_no_pairwise_products():
+    a = var("a", 1)
+    p = 3 * x**2 * y - Fraction(1, 2) * x * z**3 * a + y * z + 7 * a
+    bindings = {VarId("x"): a - y, VarId("y"): Fraction(2, 3), VarId("z"): 0}
+    codes = {Polynomial.product.__func__.__code__: "product",
+             Polynomial.__mul__.__code__: "__mul__"}
+    substitute = Polynomial.substitute.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append((codes[frame.f_code], frame.f_back.f_code is substitute))
+
+    sys.setprofile(profile)
+    try:
+        image = p.substitute(bindings)
+    finally:
+        sys.setprofile(None)
+    assert image == reference_substitute(p, bindings)
+    assert calls.count(("product", True)) == len(p.terms) == 4, calls
+    assert ("__mul__", True) not in calls, calls
+
+
+def reference_substitute(p, bindings):
+    """The image of p, term by term, with ``*`` and ``**``."""
+    total = Polynomial.zero()
+    for m, c in p.items():
+        term = Polynomial.const(c)
+        for v, e in m.exps:
+            term = term * bindings.get(v, Polynomial.variable(v)) ** e
+        total = total + term
+    return total
+
+
+ONE_TERM_IMAGES = st.builds(
+    lambda c, q: c * q, ONE_TERM_COEFFS.filter(bool), polynomials(max_terms=1).filter(bool))
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial and bindings for some of its variables: each image is 0,
+    a Fraction, one term with a coefficient, several terms, or a polynomial
+    in the variables left unbound."""
+    order = draw(st.permutations(VARS))
+    cut = draw(st.integers(1, len(VARS) - 1))
+    free = [Polynomial.variable(v) for v in order[cut:]]
+    in_free = st.builds(lambda v, c, e: c * v**e + 1, st.sampled_from(free),
+                        st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    images = st.one_of(
+        st.just(0),
+        st.builds(Fraction, st.integers(-4, 4), st.sampled_from(COPRIME_DENOMINATORS)),
+        ONE_TERM_IMAGES,
+        polynomials().filter(lambda q: len(q.terms) > 1),
+        in_free,
+    )
+    bindings = {v: draw(images) for v in order[:cut]}
+    return draw(polynomials(max_terms=5)), bindings
+
+
+@given(substitutions())
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_the_term_by_term_reference(case):
+    p, bindings = case
+    image = p.substitute(bindings)
+    expected = reference_substitute(p, bindings)
+    assert (image.terms, image.den) == (expected.terms, expected.den)
+
+
+def test_substitute_overflows_as_its_factors_are_multiplied_in_varid_order():
+    big = y**20000
+    with pytest.raises(OverflowError):
+        (x * big).substitute({VarId("x"): big})
+    # x's image 0 comes first, so y^20000 * y^20000 is never formed.
+    assert (x * big * z).substitute({VarId("x"): 0, VarId("z"): big}) == 0
+
+
 def test_fused_products_keep_integral_coefficients_int():
     half = Series(2, [1, Fraction(1, 2), 0]) * Series(2, [1, 2, 0])
     assert half == Series(2, [1, Fraction(5, 2), 1])
